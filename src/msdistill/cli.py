@@ -449,7 +449,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             )
             results: Any = report.to_json_dict()
             point, lo, hi = report.eps_out_total
-            csv_rows = [f"{eps_values[0]:.6g},{point:.6g},{lo:.6g},{hi:.6g}"]
+            point_text = "" if point is None else f"{point:.6g}"  # no accepted trials
+            csv_rows = [f"{eps_values[0]:.6g},{point_text},{lo:.6g},{hi:.6g}"]
         else:
             fit = fit_error_order(
                 instance, eps_values, config["trials"], config["seed"], **mc_kwargs

@@ -4,6 +4,11 @@ Faults live on the data magic states and on the two T-type slots of every
 physical qubit in every check. A check rejects when the inner code sees a
 detectable residual, flips its recorded outcome when a qubit has both slots
 faulty, and is corrupted when the residual reaches the code distance.
+
+The Monte Carlo sampler draws only the faulty sites: the gaps between faults
+are geometric, so its cost scales with trials x sites x eps, and only trials
+holding a fault reach the check verdict. A fault-free trial is accepted and
+not erroneous.
 """
 from __future__ import annotations
 
@@ -12,14 +17,16 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import Iterator
 
 import numpy as np
 
-from .gf2 import BinMatrix, row_space
+from .gf2 import BinMatrix, row_space, syndrome
 from .inner_codes import WeaklySelfDualCode
 from .outer_codes import OuterCode, check_sensitivity
 
 DEFAULT_BLOCK_SIZE = 1 << 16
+MAX_CHUNK_FAULTS = 1 << 16
 ENUMERATION_SITE_GUARD = 64
 ENUMERATION_WEIGHT_GUARD = 6
 
@@ -110,19 +117,17 @@ def run_check(
         packed = 0
         for q in range(n_q):
             packed |= int(single[q]) << q
-        from .gf2 import syndrome as gf2_syndrome
-
-        if gf2_syndrome(inner.check, packed) != 0:
+        if syndrome(inner.check, packed) != 0:
             return CheckVerdict(True, 0, False)
         corrupted = packed != 0 and packed not in row_space(inner.check)
         return CheckVerdict(False, outcome, corrupted)
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _wilson_interval(successes: int, total: int) -> tuple[float, float, float]:
-    """(point estimate, low, high) 95% Wilson interval."""
+def _wilson_interval(successes: int, total: int) -> tuple[float | None, float, float]:
+    """(point estimate, low, high) 95% Wilson interval; no point estimate over zero trials."""
     if total == 0:
-        return (math.nan, 0.0, 1.0)
+        return (None, 0.0, 1.0)
     z = 1.959963984540054
     p = successes / total
     denom = 1.0 + z * z / total
@@ -145,18 +150,16 @@ class SimReport:
     corruption: str
 
     @property
-    def accept_prob(self) -> tuple[float, float, float]:
+    def accept_prob(self) -> tuple[float | None, float, float]:
         return _wilson_interval(self.accepted, self.trials)
 
     @property
-    def eps_out_total(self) -> tuple[float, float, float]:
+    def eps_out_total(self) -> tuple[float | None, float, float]:
         return _wilson_interval(self.erroneous_accepted, self.accepted)
 
     @property
-    def eps_out_per_copy(self) -> tuple[float, float, float]:
+    def eps_out_per_copy(self) -> tuple[float | None, float, float]:
         # counts data flips only; scaled Wilson over accepted copies
-        if self.accepted == 0:
-            return (math.nan, 0.0, 1.0)
         return _wilson_interval(self.data_flips_accepted, self.accepted)
 
     def to_json_dict(self) -> dict[str, object]:
@@ -199,28 +202,52 @@ class _Kernel:
         return cls(outer, None, None, instance.inner.params.n_q, instance.inner.params.d_q)
 
 
-def _simulate_block(
-    kernel: _Kernel,
-    eps: float,
-    seed: int,
-    block_index: int,
-    block_size: int,
-    mode: str,
-    corruption: str,
+def _fault_positions(
+    rng: np.random.Generator, eps: float, trials: int, sites: int
+) -> Iterator[np.ndarray]:
+    """Flat indices ``trial * sites + site`` of the faulty sites of a trial grid.
+
+    Every site of every trial is faulty independently with probability eps.
+    The gaps between consecutive faults are geometric, drawn in chunks of at
+    most MAX_CHUNK_FAULTS; a chunk covers the expected fault count plus six
+    standard deviations, so a block almost always needs one. Yields nonempty
+    increasing int64 arrays, none of which splits one trial's faults; the draw
+    stops at the end of the grid.
+    """
+    if eps == 0.0:
+        return
+    cells = trials * sites
+    expected = eps * cells
+    size = int(min(MAX_CHUNK_FAULTS, expected + 6.0 * math.sqrt(expected) + 16))
+    held = np.empty(0, dtype=np.int64)
+    last = -1
+    while True:
+        gaps = rng.geometric(eps, size)
+        # every gap past the grid's end ends it alike; clipping keeps cumsum in int64
+        np.minimum(gaps, cells, out=gaps)
+        positions = np.concatenate((held, last + np.cumsum(gaps)))
+        last = int(positions[-1])
+        if last >= cells:
+            positions = positions[: np.searchsorted(positions, cells)]
+            if positions.size:
+                yield positions
+            return
+        # the last trial may go on in the next chunk: hold it back
+        cut = int(np.searchsorted(positions, last - last % sites))
+        held = positions[cut:]
+        if cut:
+            yield positions[:cut]
+
+
+def _verdicts(
+    kernel: _Kernel, faults: np.ndarray, mode: str, corruption: str
 ) -> tuple[int, int, int]:
-    """Returns (accepted, erroneous_accepted, data_flips_accepted) for one block."""
+    """(accepted, erroneous_accepted, data_flips_accepted) over rows of a fault grid."""
     m, a_n = kernel.outer.shape
     n_q, d = kernel.n_q, kernel.d_q
-    n_sites = a_n + 2 * m * n_q
-
-    key = ((seed & ((1 << 64) - 1)) << 64) | (block_index & ((1 << 64) - 1))
-    rng = np.random.Generator(np.random.Philox(key=key))
-    # float32 draws: half the memory traffic of float64, and eps values of
-    # interest (>= 1e-6) are far above the 2^-24 uniform granularity
-    faults = rng.random((block_size, n_sites), dtype=np.float32) < eps
 
     data = faults[:, :a_n]
-    slots = faults[:, a_n:].reshape(block_size, m, n_q, 2)
+    slots = faults[:, a_n:].reshape(len(faults), m, n_q, 2)
     single = slots[..., 0] ^ slots[..., 1]
     doubles = slots[..., 0] & slots[..., 1]
     double_parity = doubles.sum(axis=2, dtype=np.int64) & 1
@@ -251,6 +278,40 @@ def _simulate_block(
     return int(accept.sum()), int(erroneous.sum()), flips
 
 
+def _simulate_block(
+    kernel: _Kernel,
+    eps: float,
+    seed: int,
+    block_index: int,
+    block_size: int,
+    mode: str,
+    corruption: str,
+) -> tuple[int, int, int]:
+    """Returns (accepted, erroneous_accepted, data_flips_accepted) for one block.
+
+    Only the trials that hold a fault reach the verdict; a fault-free trial is
+    accepted and not erroneous in both modes and under both conventions.
+    """
+    m, a_n = kernel.outer.shape
+    n_sites = a_n + 2 * m * kernel.n_q
+
+    key = ((seed & ((1 << 64) - 1)) << 64) | (block_index & ((1 << 64) - 1))
+    rng = np.random.Generator(np.random.Philox(key=key))
+
+    accepted, erroneous, flips = block_size, 0, 0
+    for positions in _fault_positions(rng, eps, block_size, n_sites):
+        # one grid row per touched trial, in trial order
+        trial, site = np.divmod(positions, n_sites)
+        row = np.cumsum(np.diff(trial, prepend=-1) > 0) - 1
+        faults = np.zeros((int(row[-1]) + 1, n_sites), dtype=bool)
+        faults[row, site] = True
+        acc, err, flip = _verdicts(kernel, faults, mode, corruption)
+        accepted += acc - len(faults)
+        erroneous += err
+        flips += flip
+    return accepted, erroneous, flips
+
+
 def monte_carlo(
     instance: ProtocolInstance,
     eps: float,
@@ -264,8 +325,12 @@ def monte_carlo(
 ) -> SimReport:
     """Sample independent faults on every site and tally post-selection verdicts.
 
-    The RNG is counter-based and keyed by (seed, block index) with a fixed
-    block size, so results are bit-identical for any worker count.
+    Only the faulty sites are drawn (geometric gaps between faults), so the
+    cost scales with trials x fault sites x eps, and only the trials holding a
+    fault are decided. The RNG is counter-based and keyed by (seed, block
+    index) with a fixed block size, so results are bit-identical for any
+    worker count. This sparse draw replaced a dense one, so a given seed
+    yields different, equally distributed counts than earlier versions did.
     """
     if not 0 <= eps < 0.5:
         raise ValueError("eps must be in [0, 0.5)")

@@ -86,11 +86,10 @@ class BinMatrix:
         return BinMatrix(self.cols, self.rows, self.column_bits())
 
     def to_array(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=np.uint8)
-        for i, r in enumerate(self.row_bits):
-            for j in range(self.cols):
-                out[i, j] = (r >> j) & 1
-        return out
+        width = (self.cols + 7) // 8
+        packed = b"".join(r.to_bytes(width, "little") for r in self.row_bits)
+        grid = np.frombuffer(packed, dtype=np.uint8).reshape(self.rows, width)
+        return np.unpackbits(grid, axis=1, count=self.cols, bitorder="little")
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "BinMatrix":

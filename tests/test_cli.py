@@ -178,6 +178,17 @@ class TestSimulate:
         assert code == EXIT_OK
         assert 1.0 < doc["results"]["slope"] < 3.0
 
+    def test_no_accepted_trials_is_valid_json(self, capsys):
+        assert main(["simulate", "--eps", "0.45", "--trials", "1", "--seed", "0"]) == EXIT_OK
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["results"]["accepted"] == 0
+        assert doc["results"]["eps_out_total"] is None
+        assert doc["results"]["eps_out_ci"] == [0.0, 1.0]
+
     def test_guard_violation_exits_two(self, capsys):
         assert main(["simulate", "--eps", "0.9", "--trials", "10"]) == EXIT_INFEASIBLE
 

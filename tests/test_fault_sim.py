@@ -4,12 +4,16 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import enumerate_truncated, oracle_min_weight
 from msdistill.fault_sim import (
+    MAX_CHUNK_FAULTS,
     FaultAssignment,
     ProtocolInstance,
     SimReport,
+    _fault_positions,
     make_single_check_instance,
     min_undetected_weight,
     monte_carlo,
@@ -119,6 +123,54 @@ class TestProtocolInstance:
         assert steane_identity_instance().fault_sites == 60
 
 
+def philox(key: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+class TestFaultPositions:
+    @pytest.mark.parametrize("eps", [1e-3, 0.2, 0.49])
+    def test_weight_moments(self, eps):
+        trials, sites = 100_000, 60
+        chunks = list(_fault_positions(philox(11), eps, trials, sites))
+        positions = np.concatenate(chunks)
+        weight = np.bincount(positions // sites, minlength=trials)
+        assert weight.size == trials
+        # Binomial(sites, eps) per trial: mean S*eps, variance S*eps*(1-eps)
+        var = sites * eps * (1 - eps)
+        mu4 = var * (1 + 3 * (sites - 2) * eps * (1 - eps))
+        assert abs(weight.mean() - sites * eps) <= 5 * math.sqrt(var / trials)
+        assert abs(weight.var(ddof=1) - var) <= 5 * math.sqrt((mu4 - var**2) / trials)
+        # every site is hit at the same rate
+        per_site = np.bincount(positions % sites, minlength=sites)
+        site_sd = math.sqrt(trials * eps * (1 - eps))
+        assert np.abs(per_site - trials * eps).max() <= 5 * site_sd
+
+    def test_zero_eps_draws_nothing(self):
+        assert list(_fault_positions(philox(0), 0.0, 10_000, 60)) == []
+
+    def test_chunks_keep_trials_whole(self):
+        sites = 60
+        chunks = list(_fault_positions(philox(5), 0.3, 20_000, sites))
+        assert len(chunks) > 1
+        for before, after in zip(chunks, chunks[1:]):
+            assert before[-1] // sites < after[0] // sites
+
+    def test_multi_chunk_draw_is_cut_at_grid_end(self):
+        trials, sites, eps = 1 << 14, 60, 0.2
+        cells = trials * sites
+        assert eps * cells > 2 * MAX_CHUNK_FAULTS
+        chunks = list(_fault_positions(philox(3), eps, trials, sites))
+        positions = np.concatenate(chunks)
+        assert len(chunks) > 2
+        assert positions[0] >= 0 and positions[-1] < cells
+        assert (np.diff(positions) > 0).all()
+        # the chunked draw is one geometric-gap stream, cut at the grid's end
+        gaps = philox(3).geometric(eps, 2 * cells // 5 + 10_000)
+        reference = np.cumsum(gaps) - 1
+        assert reference[-1] >= cells
+        assert np.array_equal(positions, reference[reference < cells])
+
+
 class TestMonteCarlo:
     def test_zero_eps(self):
         report = monte_carlo(steane_identity_instance(), 0.0, 10_000, seed=1)
@@ -139,6 +191,35 @@ class TestMonteCarlo:
         threaded = monte_carlo(inst, 5e-3, 300_000, seed=9, workers=4, block_size=1 << 14)
         assert serial == threaded
 
+    def test_exact_mode_worker_count_invariance(self):
+        inst = steane_identity_instance()
+        # 50_000 = 6 * 8192 + 848: the last block is ragged
+        serial = monte_carlo(inst, 8e-3, 50_000, seed=21, mode="exact", workers=1,
+                             block_size=1 << 13)
+        threaded = monte_carlo(inst, 8e-3, 50_000, seed=21, mode="exact", workers=4,
+                               block_size=1 << 13)
+        assert serial == threaded
+        assert serial.erroneous_accepted > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        eps=st.floats(0.0, 0.49),
+        trials=st.integers(1, 3000),
+        block_size=st.integers(1, 300),
+        mode=st.sampled_from(["idealized", "exact"]),
+        corruption=st.sampled_from(["erroneous", "reject"]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_counts_bounded_and_worker_invariant(
+        self, eps, trials, block_size, mode, corruption, seed
+    ):
+        inst = steane_identity_instance()
+        kwargs = dict(mode=mode, corruption=corruption, block_size=block_size)
+        serial = monte_carlo(inst, eps, trials, seed, workers=1, **kwargs)
+        threaded = monte_carlo(inst, eps, trials, seed, workers=3, **kwargs)
+        assert 0 <= serial.erroneous_accepted <= serial.accepted <= serial.trials == trials
+        assert serial == threaded
+
     def test_matches_truncated_enumeration(self):
         inst = steane_identity_instance()
         eps = 3e-3
@@ -149,6 +230,17 @@ class TestMonteCarlo:
         _, ci_low, ci_high = report.eps_out_total
         assert ci_low <= oracle_high and oracle_low <= ci_high
         acc_point, acc_low, acc_high = report.accept_prob
+        assert acc_low - tail <= p_acc <= acc_high + tail
+
+    def test_multi_chunk_blocks_match_truncated_enumeration(self):
+        inst = make_single_check_instance(STEANE)
+        eps, block_size = 0.05, 1 << 17
+        assert eps * block_size * inst.fault_sites > MAX_CHUNK_FAULTS
+        p_acc, p_err, tail = enumerate_truncated(inst, eps, weight_max=6)
+        report = monte_carlo(inst, eps, 1 << 18, seed=23, block_size=block_size)
+        _, ci_low, ci_high = report.eps_out_total
+        assert ci_low <= (p_err + tail) / p_acc and p_err / (p_acc + tail) <= ci_high
+        _, acc_low, acc_high = report.accept_prob
         assert acc_low - tail <= p_acc <= acc_high + tail
 
     def test_accept_prob_union_bound(self):

@@ -48,6 +48,25 @@ class TestBinMatrix:
     def test_transpose_involution(self, a):
         assert a.transpose().transpose() == a
 
+    @given(bin_matrices(max_rows=6, max_cols=40))
+    def test_to_array_matches_entries(self, a):
+        arr = a.to_array()
+        assert arr.shape == (a.rows, a.cols) and arr.dtype == np.uint8
+        for i in range(a.rows):
+            for j in range(a.cols):
+                assert arr[i, j] == a.entry(i, j)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (3, 0), (4, 13), (5, 64), (2, 71)])
+    def test_to_array_shapes(self, shape):
+        rows, cols = shape
+        rng = np.random.default_rng(rows * 100 + cols)
+        arr = rng.integers(0, 2, size=shape, dtype=np.uint8)
+        matrix = BinMatrix(rows, cols, tuple(
+            sum(int(bit) << j for j, bit in enumerate(row)) for row in arr
+        ))
+        assert np.array_equal(matrix.to_array(), arr)
+        assert matrix.to_array().shape == shape
+
 
 class TestRank:
     def test_zero_matrix(self):
