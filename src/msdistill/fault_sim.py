@@ -223,8 +223,9 @@ def _fault_positions(
     last = -1
     while True:
         gaps = rng.geometric(eps, size)
-        # every gap past the grid's end ends it alike; clipping keeps cumsum in int64
-        np.minimum(gaps, cells, out=gaps)
+        # a gap of cells + 1 lands past the grid's end even from last = -1, like
+        # any longer gap; clipping keeps cumsum in int64
+        np.minimum(gaps, cells + 1, out=gaps)
         positions = np.concatenate((held, last + np.cumsum(gaps)))
         last = int(positions[-1])
         if last >= cells:
@@ -302,8 +303,8 @@ def _simulate_block(
     for positions in _fault_positions(rng, eps, block_size, n_sites):
         # one grid row per touched trial, in trial order
         trial, site = np.divmod(positions, n_sites)
-        row = np.cumsum(np.diff(trial, prepend=-1) > 0) - 1
-        faults = np.zeros((int(row[-1]) + 1, n_sites), dtype=bool)
+        touched, row = np.unique(trial, return_inverse=True)
+        faults = np.zeros((len(touched), n_sites), dtype=bool)
         faults[row, site] = True
         acc, err, flip = _verdicts(kernel, faults, mode, corruption)
         accepted += acc - len(faults)

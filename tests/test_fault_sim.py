@@ -148,6 +148,19 @@ class TestFaultPositions:
     def test_zero_eps_draws_nothing(self):
         assert list(_fault_positions(philox(0), 0.0, 10_000, 60)) == []
 
+    def test_fault_free_grid_yields_nothing(self):
+        # the first gap overshooting the grid must not land inside it
+        for key in range(50):
+            assert list(_fault_positions(philox(key), 1e-9, 1, 60)) == []
+
+    def test_fault_free_grid_probability(self):
+        # a one-trial grid is fault-free with probability (1 - eps)^sites
+        eps, sites, draws = 0.01, 60, 4000
+        empty = sum(not list(_fault_positions(philox(key), eps, 1, sites))
+                    for key in range(draws))
+        p = (1 - eps) ** sites
+        assert abs(empty / draws - p) <= 5 * math.sqrt(p * (1 - p) / draws)
+
     def test_chunks_keep_trials_whole(self):
         sites = 60
         chunks = list(_fault_positions(philox(5), 0.3, 20_000, sites))
@@ -190,6 +203,11 @@ class TestMonteCarlo:
         serial = monte_carlo(inst, 5e-3, 300_000, seed=9, workers=1, block_size=1 << 14)
         threaded = monte_carlo(inst, 5e-3, 300_000, seed=9, workers=4, block_size=1 << 14)
         assert serial == threaded
+
+    def test_fault_free_blocks_accept_every_trial(self):
+        # one-trial blocks at eps * sites = 6e-5: almost every block is fault-free
+        report = monte_carlo(steane_identity_instance(), 1e-6, 2000, seed=4, block_size=1)
+        assert report.accepted >= report.trials - 5
 
     def test_exact_mode_worker_count_invariance(self):
         inst = steane_identity_instance()
