@@ -145,13 +145,10 @@ class TestFaultPositions:
         site_sd = math.sqrt(trials * eps * (1 - eps))
         assert np.abs(per_site - trials * eps).max() <= 5 * site_sd
 
-    def test_zero_eps_draws_nothing(self):
-        assert list(_fault_positions(philox(0), 0.0, 10_000, 60)) == []
-
-    def test_fault_free_grid_yields_nothing(self):
-        # the first gap overshooting the grid must not land inside it
-        for key in range(50):
-            assert list(_fault_positions(philox(key), 1e-9, 1, 60)) == []
+    # at eps = 1e-9 the first gap overshoots the grid, which must not put it inside
+    @pytest.mark.parametrize("eps, trials", [(0.0, 10_000), (1e-9, 1)])
+    def test_fault_free_grid_draws_nothing(self, eps, trials):
+        assert list(_fault_positions(philox(0), eps, trials, 60)) == []
 
     def test_fault_free_grid_probability(self):
         # a one-trial grid is fault-free with probability (1 - eps)^sites
