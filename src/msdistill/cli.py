@@ -10,35 +10,21 @@ import argparse
 import json
 import math
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import __version__
-from .analytics import overhead_exponent, predistill_chain
-from .comparison import figure2_dataset, qag_baseline_rate
-from .fault_sim import (
-    ProtocolInstance,
-    fit_error_order,
-    make_single_check_instance,
-    monte_carlo,
-)
+from .analytics import overhead_exponent
+from .comparison import CSV_HEADER, figure2_dataset
+from .fault_sim import ProtocolInstance, fit_error_order, make_single_check_instance, monte_carlo
 from .gf2 import BinMatrix
 from .inner_codes import (
-    CssCodeParams,
-    WeaklySelfDualCode,
-    distance_family,
-    gv_params,
-    ln_rule_distance,
-    load_named_code,
-    validate_code,
+    CssCodeParams, WeaklySelfDualCode, distance_family, gv_params, ln_rule_distance,
+    load_named_code, validate_code,
 )
+from .logdomain import LogScalar
 from .outer_codes import ConstructionError, OuterCode, build_biregular, check_sensitivity, girth
 from .pipeline import (
-    HadamardStep,
-    PipelineReport,
-    PreDistillation,
-    ProtocolSpec,
-    evaluate,
-    search_best,
+    HadamardStep, PipelineReport, PreDistillation, ProtocolSpec, evaluate, search_best,
 )
 
 EXIT_OK = 0
@@ -67,13 +53,122 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fmt_log10(value: Any) -> float | None:
-    """Log-domain magnitudes rounded so serialization is platform-stable."""
-    from .logdomain import LogScalar
+# ------------------------------------------------------------- option kinds
+#
+# A kind reads an option's value from flag text (``parse``) and checks and
+# converts a JSON config-file value (``load``), so both sources give one value.
 
-    if isinstance(value, LogScalar):
-        return None if value.is_zero() else round(value.log10, 6)
-    return round(float(value), 6)
+
+class Kind(NamedTuple):
+    parse: Callable[[str], Any] | None
+    load: Callable[[Any], Any]
+
+
+def _json(
+    types: tuple[type, ...], name: str, convert: Callable[[Any], Any] = lambda v: v
+) -> Callable[[Any], Any]:
+    """A loader that accepts JSON values of the given types only (never a bool)."""
+    def load(value: Any) -> Any:
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f"expected {name}, got {json.dumps(value)}")
+        return convert(value)
+
+    return load
+
+
+def _list_of(item: Callable[[Any], Any]) -> Callable[[Any], list]:
+    return _json((list,), "a list", lambda value: [item(x) for x in value])
+
+
+def _comma_list(item: Callable[[str], Any]) -> Callable[[str], list]:
+    def parse(text: str) -> list:
+        return [item(x) for x in text.split(",") if x]
+
+    parse.__name__ = f"{item.__name__} list"  # argparse names the kind in its errors
+    return parse
+
+
+_int = _json((int,), "an integer")
+_float = _json((int, float), "a number", float)
+
+
+def _nkd(value: Any) -> list[int]:
+    """An inner code's n,k,d from flag text or a JSON list."""
+    parts = [int(x) for x in value.split(",")] if isinstance(value, str) else _list_of(_int)(value)
+    if len(parts) != 3:
+        raise ValueError(f"expected n,k,d, got {json.dumps(value)}")
+    return parts
+
+
+def _as_given(value: Any) -> Any:
+    _nkd(value)
+    return value  # the config echoes n,k,d in the form it was given
+
+
+_as_given.__name__ = "n,k,d"
+
+INT = Kind(int, _int)
+FLOAT = Kind(float, _float)
+STR = Kind(str, _json((str,), "a string"))
+INT_LIST = Kind(_comma_list(int), _list_of(_int))
+EPS = Kind(_comma_list(float), lambda v: _list_of(_float)(v) if isinstance(v, list) else _float(v))
+NKD = Kind(_as_given, _as_given)
+SPECS = Kind(None, _list_of(_json((dict,), "a JSON object")))
+
+
+class Option(NamedTuple):
+    key: str
+    default: Any
+    kind: Kind
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+    required: bool = False
+    config_only: bool = False
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.key.replace("_", "-")
+
+
+class Output(NamedTuple):
+    results: Any
+    metadata: dict[str, Any] | None = None
+    csv_rows: list[str] | None = None
+    failure: str | None = None  # the output is still written, then the run exits 2
+
+
+class Command(NamedTuple):
+    name: str
+    help: str
+    handler: Callable[[dict[str, Any]], Output]
+    options: tuple[Option, ...]
+    csv_header: str | None = None
+
+
+def _resolve(
+    command: Command, file_values: dict[str, Any], flags: dict[str, Any]
+) -> dict[str, Any]:
+    """Merge defaults, config-file values, and explicit flags (flags win).
+
+    A config-file value goes through its flag's kind and choices; a null one,
+    like an absent flag, leaves the option unset.
+    """
+    config = {}
+    for option in command.options:
+        value = option.default
+        if file_values.get(option.key) is not None:
+            try:
+                value = option.kind.load(file_values[option.key])
+                if option.choices and value not in option.choices:
+                    raise ValueError(f"{value!r} is not one of {', '.join(option.choices)}")
+            except ValueError as exc:
+                raise UsageError(f"config key {option.key!r}: {exc}") from None
+        if flags.get(option.key) is not None:
+            value = flags[option.key]
+        if option.required and value is None:
+            raise UsageError(f"{option.flag} is required")
+        config[option.key] = value
+    return config
 
 
 def _load_config(path: str) -> dict[str, Any]:
@@ -87,82 +182,55 @@ def _load_config(path: str) -> dict[str, Any]:
     return data
 
 
-def _resolve(args: argparse.Namespace, defaults: dict[str, Any]) -> dict[str, Any]:
-    """Merge defaults, config-file values, and explicit flags (flags win)."""
-    config = dict(defaults)
-    if getattr(args, "config", None):
-        file_values = _load_config(args.config)
-        for key in defaults:
-            if key in file_values:
-                config[key] = file_values[key]
-    for key in defaults:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            config[key] = flag
-    return config
-
-
-def _emit(
-    args: argparse.Namespace,
-    subcommand: str,
-    config: dict[str, Any],
-    results: Any,
-    metadata: dict[str, Any] | None = None,
-    csv_header: str | None = None,
-    csv_rows: Sequence[str] | None = None,
-) -> None:
-    fmt = getattr(args, "format", None) or "json"
-    if fmt == "json":
-        doc = {
-            "version": __version__,
-            "subcommand": subcommand,
-            "config": config,
-            "conventions": CONVENTIONS,
-            "metadata": metadata or {},
-            "results": results,
-        }
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    elif fmt == "csv":
-        if csv_header is None or csv_rows is None:
-            raise UsageError(f"subcommand {subcommand} has no CSV form")
+def _emit(args: argparse.Namespace, command: Command, config: dict[str, Any], out: Output) -> None:
+    if args.format == "csv":
         lines = [
             f"# version={__version__}",
-            f"# subcommand={subcommand}",
+            f"# subcommand={command.name}",
             f"# config={json.dumps(config, sort_keys=True)}",
             f"# conventions={json.dumps(CONVENTIONS, sort_keys=True)}",
         ]
-        for key, value in sorted((metadata or {}).items()):
+        for key, value in sorted((out.metadata or {}).items()):
             lines.append(f"# {key}={value}")
-        lines.append(csv_header)
-        lines.extend(csv_rows)
+        lines.append(command.csv_header)
+        lines.extend(out.csv_rows)
         text = "\n".join(lines) + "\n"
     else:
-        raise UsageError(f"unknown format {fmt!r}")
+        doc = {
+            "version": __version__,
+            "subcommand": command.name,
+            "config": config,
+            "conventions": CONVENTIONS,
+            "metadata": out.metadata or {},
+            "results": out.results,
+        }
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
-    out_path = getattr(args, "output", None)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _inner_params(config: dict[str, Any]) -> CssCodeParams:
-    inner = config["inner"]
-    if isinstance(inner, str):
-        parts = [int(x) for x in inner.split(",")]
-        if len(parts) != 3:
-            raise UsageError("--inner expects n,k,d")
-        inner = parts
-    n, k, d = inner
-    return CssCodeParams(n, k, d, odd_distance=(d % 2 == 1))
+def _fmt_log10(value: Any) -> float | None:
+    """Log-domain magnitudes rounded so serialization is platform-stable."""
+    if isinstance(value, LogScalar):
+        return None if value.is_zero() else round(value.log10, 6)
+    return round(float(value), 6)
 
 
 def _pipeline_spec(config: dict[str, Any]) -> ProtocolSpec:
-    params = _inner_params(config)
-    scale = config.get("scale") or params.k_q**params.d_q
+    n, k, d = _nkd(config["inner"])
+    params = CssCodeParams(n, k, d, odd_distance=(d % 2 == 1))
+    scale = config["scale"] or params.k_q**params.d_q
     stages = (PreDistillation(config["pre_rounds"]), HadamardStep(params, scale))
     return ProtocolSpec(stages, config["eps0"])
+
+
+def _analyze_spec(values: dict[str, Any]) -> ProtocolSpec:
+    """The protocol ``analyze`` would evaluate for these config values."""
+    return _pipeline_spec(_resolve(COMMANDS["analyze"], values, {}))
 
 
 def _report_record(report: PipelineReport) -> dict[str, Any]:
@@ -190,8 +258,7 @@ def _report_record(report: PipelineReport) -> dict[str, Any]:
 # ---------------------------------------------------------------- subcommands
 
 
-def cmd_gv_search(args: argparse.Namespace) -> int:
-    config = _resolve(args, {"n_min": 0, "n_max": -1, "step": 1})
+def cmd_gv_search(config: dict[str, Any]) -> Output:
     n_min, n_max, step = config["n_min"], config["n_max"], config["step"]
     if n_min < 0 or step < 1:
         raise UsageError("need n_min >= 0 and step >= 1")
@@ -216,27 +283,17 @@ def cmd_gv_search(args: argparse.Namespace) -> int:
                 row["status"] = f"infeasible: {exc}"
         rows.append(row)
 
-    csv_rows = [
-        ",".join(
-            str(r.get(c, "")) for c in ("n", "k_single", "k_double", "d", "gamma", "status")
-        )
-        for r in rows
-    ]
-    _emit(args, "gv-search", config, rows,
-          csv_header="n,k_single,k_double,d,gamma,status", csv_rows=csv_rows)
-    return EXIT_OK
+    columns = ("n", "k_single", "k_double", "d", "gamma", "status")
+    csv_rows = [",".join(str(r.get(c, "")) for c in columns) for r in rows]
+    return Output(rows, csv_rows=csv_rows)
 
 
-def cmd_validate_code(args: argparse.Namespace) -> int:
-    config = _resolve(
-        args, {"code": None, "matrix_file": None, "n": None, "k": None, "d": None}
-    )
+def cmd_validate_code(config: dict[str, Any]) -> Output:
     if config["code"]:
         code = load_named_code(config["code"])
     elif config["matrix_file"]:
-        for key in ("n", "k", "d"):
-            if config[key] is None:
-                raise UsageError("--matrix-file needs --n, --k and --d")
+        if None in (config["n"], config["k"], config["d"]):
+            raise UsageError("--matrix-file needs --n, --k and --d")
         with open(config["matrix_file"], "r", encoding="utf-8") as fh:
             matrix = BinMatrix.from_text(fh.read())
         params = CssCodeParams(
@@ -256,19 +313,11 @@ def cmd_validate_code(args: argparse.Namespace) -> int:
         "notes": list(report.notes),
         "all_passed": report.all_passed,
     }
-    _emit(args, "validate-code", config, results)
-    if not report.all_passed:
-        raise InfeasibleError(f"validation failed for {code.params}")
-    return EXIT_OK
+    failure = None if report.all_passed else f"validation failed for {code.params}"
+    return Output(results, failure=failure)
 
 
-def cmd_outer_build(args: argparse.Namespace) -> int:
-    config = _resolve(
-        args, {"a_n": None, "w": None, "s": None, "girth": 4, "seed": 0, "max_attempts": 40}
-    )
-    for key in ("a_n", "w", "s"):
-        if config[key] is None:
-            raise UsageError(f"--{key.replace('_', '-')} is required")
+def cmd_outer_build(config: dict[str, Any]) -> Output:
     try:
         code = build_biregular(
             config["a_n"], config["w"], config["s"], config["girth"], config["seed"],
@@ -286,20 +335,10 @@ def cmd_outer_build(args: argparse.Namespace) -> int:
         "girth": "inf" if math.isinf(g) else int(g),
         "code_text": code.to_text(),
     }
-    _emit(args, "outer-build", config, results,
-          csv_header="a_n,m,girth", csv_rows=[f"{results['a_n']},{results['m']},{results['girth']}"])
-    return EXIT_OK
+    return Output(results, csv_rows=[f"{results['a_n']},{results['m']},{results['girth']}"])
 
 
-def cmd_check_sensitivity(args: argparse.Namespace) -> int:
-    config = _resolve(
-        args,
-        {"matrix_file": None, "d_tilde": None, "s_req": None,
-         "mode": "exhaustive", "samples": 20_000, "seed": 0},
-    )
-    for key in ("matrix_file", "d_tilde", "s_req"):
-        if config[key] is None:
-            raise UsageError(f"--{key.replace('_', '-')} is required")
+def cmd_check_sensitivity(config: dict[str, Any]) -> Output:
     with open(config["matrix_file"], "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -320,43 +359,15 @@ def cmd_check_sensitivity(args: argparse.Namespace) -> int:
             "weight": witness.weight,
             "violated_checks": witness.violated_checks,
         }
-    _emit(args, "check-sensitivity", config, results)
-    if not ok:
-        raise InfeasibleError("sensitivity check failed; witness in output")
-    return EXIT_OK
+    return Output(results, failure=None if ok else "sensitivity check failed; witness in output")
 
 
-_PIPELINE_DEFAULTS = {
-    "inner": None,
-    "pre_rounds": 0,
-    "scale": None,
-    "eps0": 0.1,
-    "success_eps": "required",
-}
+def cmd_analyze(config: dict[str, Any]) -> Output:
+    report = evaluate(_pipeline_spec(config), success_eps=config["success_eps"])
+    return Output(_report_record(report), csv_rows=[report.csv_row()])
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    config = _resolve(args, _PIPELINE_DEFAULTS)
-    if config["inner"] is None:
-        raise UsageError("--inner n,k,d is required")
-    spec = _pipeline_spec(config)
-    report = evaluate(spec, success_eps=config["success_eps"])
-    _emit(args, "analyze", config, _report_record(report),
-          csv_header="label,log10_rate,log10_eps,log10_success",
-          csv_rows=[report.csv_row()])
-    return EXIT_OK
-
-
-def cmd_search(args: argparse.Namespace) -> int:
-    config = _resolve(
-        args,
-        {"rate_floor_log10": None, "n_max": 10_000, "pre_rounds": [0, 1, 2, 3, 4, 5],
-         "eps0": 0.1, "success_eps": "required"},
-    )
-    if config["rate_floor_log10"] is None:
-        raise UsageError("--rate-floor-log10 is required")
-    from .logdomain import LogScalar
-
+def cmd_search(config: dict[str, Any]) -> Output:
     candidates = distance_family(config["n_max"])
     try:
         spec = search_best(
@@ -375,43 +386,32 @@ def cmd_search(args: argparse.Namespace) -> int:
         "candidates_considered": len(candidates),
         "report": _report_record(report),
     }
-    _emit(args, "search", config, results)
-    return EXIT_OK
+    return Output(results)
 
 
-_DEFAULT_COMPARE_SPECS = [
-    {"pre_rounds": 3, "inner": [149, 117, 5]},
-    {"pre_rounds": 4, "inner": [8104, 8002, 9]},
-]
-
-
-def cmd_compare(args: argparse.Namespace) -> int:
-    config = _resolve(
-        args,
-        {"pre_rounds_max": 6, "specs": _DEFAULT_COMPARE_SPECS,
-         "eps_in": 0.1, "success_eps": "required"},
-    )
+def cmd_compare(config: dict[str, Any]) -> Output:
     specs = []
-    for entry in config["specs"]:
-        merged = dict(_PIPELINE_DEFAULTS, eps0=config["eps_in"], **entry)
-        specs.append(_pipeline_spec(merged))
+    for i, entry in enumerate(config["specs"]):
+        entry = dict(entry)  # an analyze config; its own eps0 wins over eps_in
+        if entry.get("eps0") is None:
+            entry["eps0"] = config["eps_in"]
+        try:
+            specs.append(_analyze_spec(entry))
+        except UsageError as exc:
+            raise UsageError(f"specs[{i}]: {exc}") from None
     rows, metadata = figure2_dataset(
         pre_rounds_max=config["pre_rounds_max"],
         pipeline_specs=specs,
         eps_in=config["eps_in"],
         success_eps=config["success_eps"],
     )
-    from .comparison import CSV_HEADER
-
     results = [
         {"series": r.series, "label": r.label,
          "neg_log10_eps": _fmt_log10(r.neg_log10_eps) if math.isfinite(r.neg_log10_eps) else "inf",
          "log10_rate": _fmt_log10(r.log10_rate)}
         for r in rows
     ]
-    _emit(args, "compare", config, results, metadata=metadata,
-          csv_header=CSV_HEADER, csv_rows=[r.csv_row() for r in rows])
-    return EXIT_OK
+    return Output(results, metadata=metadata, csv_rows=[r.csv_row() for r in rows])
 
 
 def _build_instance(config: dict[str, Any]) -> ProtocolInstance:
@@ -428,14 +428,7 @@ def _build_instance(config: dict[str, Any]) -> ProtocolInstance:
     return ProtocolInstance(inner, outer, strict=False)
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _resolve(
-        args,
-        {"inner": "steane", "outer": "identity", "outer_size": 4,
-         "eps": [3e-3], "trials": 100_000, "seed": 0,
-         "mode": "idealized", "corruption": "erroneous",
-         "workers": None, "block_size": 1 << 16},
-    )
+def cmd_simulate(config: dict[str, Any]) -> Output:
     instance = _build_instance(config)
     mc_kwargs = dict(
         mode=config["mode"], corruption=config["corruption"],
@@ -468,9 +461,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise InfeasibleError(
             f"{exc} (hint: shrink the instance, lower trials, or raise eps)"
         ) from exc
-    _emit(args, "simulate", config, results,
-          csv_header="eps,eps_out,ci_low_or_events,ci_high", csv_rows=csv_rows)
-    return EXIT_OK
+    return Output(results, csv_rows=csv_rows)
 
 
 _TABLE_S1 = [
@@ -480,13 +471,12 @@ _TABLE_S1 = [
 ]
 
 
-def cmd_table_s1(args: argparse.Namespace) -> int:
-    config = _resolve(args, {"eps0": 0.1, "success_eps": "required"})
+def cmd_table_s1(config: dict[str, Any]) -> Output:
     rows = []
     csv_rows = []
     for label, inner, p, pub_rate, pub_eps_log10 in _TABLE_S1:
-        merged = dict(_PIPELINE_DEFAULTS, inner=inner, pre_rounds=p, eps0=config["eps0"])
-        report = evaluate(_pipeline_spec(merged), success_eps=config["success_eps"])
+        spec = _analyze_spec({"inner": inner, "pre_rounds": p, "eps0": config["eps0"]})
+        report = evaluate(spec, success_eps=config["success_eps"])
         rate_log10 = report.effective_rate.log10
         rows.append(
             {
@@ -503,116 +493,104 @@ def cmd_table_s1(args: argparse.Namespace) -> int:
             f"{label},{pub_rate:.6g},{_fmt_log10(rate_log10)},"
             f"{pub_eps_log10},{_fmt_log10(report.eps_out)}"
         )
-    _emit(args, "table-s1", config, rows,
-          csv_header="label,published_rate,computed_log10_rate,"
-                      "published_log10_eps_out,computed_log10_eps_out",
-          csv_rows=csv_rows)
-    return EXIT_OK
+    return Output(rows, csv_rows=csv_rows)
 
 
-# ------------------------------------------------------------------- plumbing
+# ---------------------------------------------------------------- the table
+#
+# Each subcommand and each of its options is declared once, here. The parser,
+# the defaults and the checks on config-file values all come from this table.
 
+_SEED = Option("seed", 0, INT, "random seed")
+_EPS0 = Option("eps0", 0.1, FLOAT, "error rate of the raw input states")
+_SUCCESS_EPS = Option("success_eps", "required", STR, "error rate the success probability "
+                      "is evaluated at", choices=("required", "achieved"))
+_MATRIX_FILE = Option("matrix_file", None, STR, "check matrix as rows of 0/1 text")
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file (a previous output replays itself)")
-    sub.add_argument("--output", help="write to this path instead of stdout")
-    sub.add_argument("--format", choices=["json", "csv"], default=None)
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x]
+COMMANDS = {command.name: command for command in (
+    Command("gv-search", "existence-bound code parameter table", cmd_gv_search, (
+        Option("n_min", 0, INT, "first block length"),
+        Option("n_max", -1, INT, "last block length"),
+        Option("step", 1, INT, "block length step"),
+    ), csv_header="n,k_single,k_double,d,gamma,status"),
+    Command("validate-code", "check a shipped or user check matrix", cmd_validate_code, (
+        Option("code", None, STR, "library code name (steane, rm15)"),
+        _MATRIX_FILE,
+        Option("n", None, INT, "block length of the matrix file's code"),
+        Option("k", None, INT, "logical qubits of the matrix file's code"),
+        Option("d", None, INT, "claimed distance of the matrix file's code"),
+    )),
+    Command("outer-build", "build a biregular check schedule", cmd_outer_build, (
+        Option("a_n", None, INT, "bits (columns) of the schedule", required=True),
+        Option("w", None, INT, "bits per check (row weight)", required=True),
+        Option("s", None, INT, "checks per bit (column weight)", required=True),
+        Option("girth", 4, INT, "minimum Tanner-graph girth"),
+        _SEED,
+        Option("max_attempts", 40, INT, "construction retries"),
+    ), csv_header="a_n,m,girth"),
+    Command("check-sensitivity", "verify low-weight pattern coverage", cmd_check_sensitivity, (
+        _MATRIX_FILE._replace(required=True),
+        Option("d_tilde", None, INT, "largest pattern weight to cover", required=True),
+        Option("s_req", None, INT, "checks each pattern must violate", required=True),
+        Option("mode", "exhaustive", STR, "pattern enumeration", choices=("exhaustive", "sampled")),
+        Option("samples", 20_000, INT, "patterns drawn in sampled mode"),
+        _SEED,
+    )),
+    Command("analyze", "evaluate one multi-stage protocol", cmd_analyze, (
+        Option("inner", None, NKD, "n,k,d of the inner code", required=True),
+        Option("pre_rounds", 0, INT, "15-to-1 rounds before the inner code"),
+        Option("scale", None, INT, "outer scale factor A (default k**d)"),
+        _EPS0,
+        _SUCCESS_EPS,
+    ), csv_header="label,log10_rate,log10_eps,log10_success"),
+    Command("search", "best protocol above a rate floor", cmd_search, (
+        Option("rate_floor_log10", None, FLOAT, "log10 of the lowest rate allowed", required=True),
+        Option("n_max", 10_000, INT, "largest inner block length tried"),
+        Option("pre_rounds", [0, 1, 2, 3, 4, 5], INT_LIST, "comma list of pre-round counts"),
+        _EPS0,
+        _SUCCESS_EPS,
+    )),
+    Command("compare", "rate-vs-error comparison dataset", cmd_compare, (
+        Option("pre_rounds_max", 6, INT, "longest repeated 15-to-1 chain"),
+        Option("specs", [{"pre_rounds": 3, "inner": [149, 117, 5]},
+                         {"pre_rounds": 4, "inner": [8104, 8002, 9]}], SPECS, config_only=True),
+        Option("eps_in", 0.1, FLOAT, "raw input error rate of all three series"),
+        _SUCCESS_EPS,
+    ), csv_header=CSV_HEADER),
+    Command("simulate", "Monte Carlo fault injection", cmd_simulate, (
+        Option("inner", "steane", STR, "library code name"),
+        Option("outer", "identity", STR, "'identity', 'single-check', or a schedule file"),
+        Option("outer_size", 4, INT, "size of the identity or single-check schedule"),
+        Option("eps", [3e-3], EPS, "one value, or a comma list for a sweep"),
+        Option("trials", 100_000, INT, "trials per eps value"),
+        _SEED,
+        Option("mode", "idealized", STR, "check model", choices=("idealized", "exact")),
+        Option("corruption", "erroneous", STR, "count corrupted accepted trials as errors, "
+               "or reject them", choices=("erroneous", "reject")),
+        Option("workers", None, INT, "worker threads (default: one per core)"),
+        Option("block_size", 1 << 16, INT, "trials per RNG block"),
+    ), csv_header="eps,eps_out,ci_low_or_events,ci_high"),
+    Command("table-s1", "published-vs-recomputed finite-size rows", cmd_table_s1, (
+        _EPS0,
+        _SUCCESS_EPS,
+    ), csv_header="label,published_rate,computed_log10_rate,"
+                  "published_log10_eps_out,computed_log10_eps_out"),
+)}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="msdistill", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = subs.add_parser("gv-search", help="existence-bound code parameter table")
-    p.add_argument("--n-min", dest="n_min", type=int)
-    p.add_argument("--n-max", dest="n_max", type=int)
-    p.add_argument("--step", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_gv_search)
-
-    p = subs.add_parser("validate-code", help="check a shipped or user check matrix")
-    p.add_argument("--code", help="library code name (steane, rm15)")
-    p.add_argument("--matrix-file", dest="matrix_file")
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--d", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_validate_code)
-
-    p = subs.add_parser("outer-build", help="build a biregular check schedule")
-    p.add_argument("--a-n", dest="a_n", type=int)
-    p.add_argument("--w", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--girth", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--max-attempts", dest="max_attempts", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_outer_build)
-
-    p = subs.add_parser("check-sensitivity", help="verify low-weight pattern coverage")
-    p.add_argument("--matrix-file", dest="matrix_file")
-    p.add_argument("--d-tilde", dest="d_tilde", type=int)
-    p.add_argument("--s-req", dest="s_req", type=int)
-    p.add_argument("--mode", choices=["exhaustive", "sampled"])
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_check_sensitivity)
-
-    p = subs.add_parser("analyze", help="evaluate one multi-stage protocol")
-    p.add_argument("--inner", help="n,k,d of the inner code")
-    p.add_argument("--pre-rounds", dest="pre_rounds", type=int)
-    p.add_argument("--scale", type=int)
-    p.add_argument("--eps0", type=float)
-    p.add_argument("--success-eps", dest="success_eps", choices=["required", "achieved"])
-    _add_common(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = subs.add_parser("search", help="best protocol above a rate floor")
-    p.add_argument("--rate-floor-log10", dest="rate_floor_log10", type=float)
-    p.add_argument("--n-max", dest="n_max", type=int)
-    p.add_argument("--pre-rounds", dest="pre_rounds", type=_int_list)
-    p.add_argument("--eps0", type=float)
-    p.add_argument("--success-eps", dest="success_eps", choices=["required", "achieved"])
-    _add_common(p)
-    p.set_defaults(func=cmd_search)
-
-    p = subs.add_parser("compare", help="rate-vs-error comparison dataset")
-    p.add_argument("--pre-rounds-max", dest="pre_rounds_max", type=int)
-    p.add_argument("--eps-in", dest="eps_in", type=float)
-    p.add_argument("--success-eps", dest="success_eps", choices=["required", "achieved"])
-    _add_common(p)
-    p.set_defaults(func=cmd_compare)
-
-    p = subs.add_parser("simulate", help="Monte Carlo fault injection")
-    p.add_argument("--inner", help="library code name")
-    p.add_argument("--outer", help="'identity', 'single-check', or a schedule file")
-    p.add_argument("--outer-size", dest="outer_size", type=int)
-    p.add_argument("--eps", type=_float_list, help="one value, or a comma list for a sweep")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--mode", choices=["idealized", "exact"])
-    p.add_argument("--corruption", choices=["erroneous", "reject"])
-    p.add_argument("--workers", type=int)
-    p.add_argument("--block-size", dest="block_size", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = subs.add_parser("table-s1", help="published-vs-recomputed finite-size rows")
-    p.add_argument("--eps0", type=float)
-    p.add_argument("--success-eps", dest="success_eps", choices=["required", "achieved"])
-    _add_common(p)
-    p.set_defaults(func=cmd_table_s1)
-
+    for command in COMMANDS.values():
+        sub = subs.add_parser(command.name, help=command.help)
+        for option in command.options:
+            if not option.config_only:
+                sub.add_argument(option.flag, dest=option.key, type=option.kind.parse,
+                                 choices=option.choices, help=option.help)
+        sub.add_argument("--config", help="JSON config file (a previous output replays itself)")
+        sub.add_argument("--output", help="write to this path instead of stdout")
+        sub.add_argument("--format", choices=["json", "csv"] if command.csv_header else ["json"])
     return parser
 
 
@@ -620,7 +598,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        command = COMMANDS[args.subcommand]
+        file_values = _load_config(args.config) if args.config else {}
+        config = _resolve(command, file_values, vars(args))
+        out = command.handler(config)
+        _emit(args, command, config, out)
+        if out.failure:
+            raise InfeasibleError(out.failure)
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -337,6 +337,8 @@ def monte_carlo(
         raise ValueError("eps must be in [0, 0.5)")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if block_size < 1:
+        raise ValueError("block_size must be >= 1")
     if corruption not in ("erroneous", "reject"):
         raise ValueError(f"unknown corruption convention {corruption!r}")
     if mode not in ("idealized", "exact"):

@@ -192,6 +192,10 @@ class TestSimulate:
     def test_guard_violation_exits_two(self, capsys):
         assert main(["simulate", "--eps", "0.9", "--trials", "10"]) == EXIT_INFEASIBLE
 
+    def test_zero_block_size_exits_two(self, capsys):
+        argv = ["simulate", "--eps", "0.01", "--trials", "10", "--block-size", "0"]
+        assert main(argv) == EXIT_INFEASIBLE
+
     def test_replay_is_byte_identical(self, tmp_path):
         first = tmp_path / "run1.json"
         second = tmp_path / "run2.json"
@@ -214,6 +218,137 @@ class TestSimulate:
         assert doc["config"]["seed"] == 4
 
 
+class TestConfigFileChecks:
+    """A config-file value is checked like the same flag, and a bad one is a usage error."""
+
+    def run_config(self, capsys, tmp_path, argv, values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        code = main(argv + ["--config", str(cfg)])
+        return code, capsys.readouterr()
+
+    def test_string_for_int_key(self, capsys, tmp_path):
+        code, captured = self.run_config(capsys, tmp_path, ["simulate"], {"trials": "10"})
+        assert code == EXIT_USAGE
+        assert "'trials'" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", [10.0, True])
+    def test_float_or_bool_for_int_key(self, capsys, tmp_path, value):
+        code, captured = self.run_config(capsys, tmp_path, ["simulate"], {"seed": value})
+        assert code == EXIT_USAGE
+        assert "'seed'" in captured.err
+
+    def test_choice_checked_like_the_flag(self, capsys, tmp_path):
+        schedule = tmp_path / "identity.txt"
+        schedule.write_text("10\n01\n")
+        argv = ["check-sensitivity", "--matrix-file", str(schedule), "--d-tilde", "2",
+                "--s-req", "2"]
+        assert main(argv + ["--mode", "quantum"]) == EXIT_USAGE
+        code, captured = self.run_config(capsys, tmp_path, argv, {"mode": "quantum"})
+        assert code == EXIT_USAGE
+        assert "'mode'" in captured.err
+
+    def test_scalar_eps_still_accepted(self, capsys, tmp_path):
+        code, captured = self.run_config(
+            capsys, tmp_path, ["simulate"], {"eps": 0.005, "trials": 2000, "seed": 3}
+        )
+        assert code == EXIT_OK
+        doc = json.loads(captured.out)
+        assert doc["config"]["eps"] == 0.005
+        assert doc["results"]["trials"] == 2000
+
+    def test_required_key_from_config(self, capsys, tmp_path):
+        values = {"a_n": 9, "w": 3, "s": 3, "girth": 6, "seed": 7}
+        code, captured = self.run_config(capsys, tmp_path, ["outer-build"], values)
+        assert code == EXIT_OK
+        assert json.loads(captured.out)["results"]["girth"] == 6
+
+    @pytest.mark.parametrize(
+        "entry_eps0, eps_in", [(0.05, 0.1), (None, 0.05)], ids=["entry-wins", "null-takes-eps-in"]
+    )
+    def test_compare_entry_eps0(self, capsys, tmp_path, entry_eps0, eps_in):
+        entry = {"pre_rounds": 3, "inner": [149, 117, 5], "eps0": entry_eps0}
+        values = {"specs": [entry], "eps_in": eps_in, "pre_rounds_max": 2}
+        code, captured = self.run_config(capsys, tmp_path, ["compare"], values)
+        assert code == EXIT_OK
+        (row,) = [r for r in json.loads(captured.out)["results"]
+                  if r["series"] == "check_schedule"]
+        code, doc = run_json(
+            capsys, ["analyze", "--inner", "149,117,5", "--pre-rounds", "3", "--eps0", "0.05"]
+        )
+        assert code == EXIT_OK
+        assert row["log10_rate"] == doc["results"]["log10_rate"]
+        assert row["neg_log10_eps"] == -doc["results"]["log10_eps_out"]
+
+    def test_compare_entry_checked_like_analyze(self, capsys, tmp_path):
+        code, captured = self.run_config(
+            capsys, tmp_path, ["compare"], {"specs": [{"pre_rounds": 3}]}
+        )
+        assert code == EXIT_USAGE
+        assert "specs[0]" in captured.err
+        code, captured = self.run_config(
+            capsys, tmp_path, ["compare"], {"specs": [{"inner": [149, 117, 5], "eps0": "0.1"}]}
+        )
+        assert code == EXIT_USAGE
+        assert "'eps0'" in captured.err
+
+
+class TestReplay:
+    """Every subcommand's output replays byte-for-byte from its embedded config."""
+
+    def assert_replays(self, tmp_path, argv, expected=EXIT_OK):
+        first = tmp_path / "first.json"
+        second = tmp_path / "second.json"
+        assert main(argv + ["--output", str(first)]) == expected
+        assert main([argv[0], "--config", str(first), "--output", str(second)]) == expected
+        assert first.read_bytes() == second.read_bytes()
+        return json.loads(first.read_text())
+
+    def test_validate_code(self, tmp_path):
+        doc = self.assert_replays(tmp_path, ["validate-code", "--code", "rm15"])
+        assert doc["results"]["all_passed"] is True
+
+    def test_failed_validation(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("100\n")
+        argv = ["validate-code", "--matrix-file", str(bad), "--n", "3", "--k", "1", "--d", "1"]
+        doc = self.assert_replays(tmp_path, argv, expected=EXIT_INFEASIBLE)
+        assert doc["results"]["all_passed"] is False
+
+    def test_outer_build_json_and_csv(self, capsys, tmp_path):
+        argv = ["outer-build", "--a-n", "9", "--w", "3", "--s", "3", "--girth", "6",
+                "--seed", "7"]
+        self.assert_replays(tmp_path, argv)
+        assert main(argv + ["--format", "csv"]) == EXIT_OK
+        from_flags = capsys.readouterr().out
+        replay = ["outer-build", "--config", str(tmp_path / "first.json"), "--format", "csv"]
+        assert main(replay) == EXIT_OK
+        assert capsys.readouterr().out == from_flags
+
+    def test_check_sensitivity_on_built_schedule(self, tmp_path):
+        built = tmp_path / "outer.json"
+        argv = ["outer-build", "--a-n", "9", "--w", "3", "--s", "3", "--girth", "6",
+                "--seed", "7", "--output", str(built)]
+        assert main(argv) == EXIT_OK
+        schedule = tmp_path / "outer.txt"
+        schedule.write_text(json.loads(built.read_text())["results"]["code_text"])
+        doc = self.assert_replays(
+            tmp_path,
+            ["check-sensitivity", "--matrix-file", str(schedule), "--d-tilde", "2",
+             "--s-req", "2"],
+        )
+        assert doc["results"]["sensitive"] is True
+
+    def test_search(self, tmp_path):
+        doc = self.assert_replays(
+            tmp_path,
+            ["search", "--rate-floor-log10", "-5", "--n-max", "2000",
+             "--pre-rounds", "0,1,2,3", "--eps0", "0.05"],
+        )
+        assert doc["config"]["pre_rounds"] == [0, 1, 2, 3]
+
+
 class TestTableS1:
     def test_rows_and_tolerances(self, capsys):
         code, doc = run_json(capsys, ["table-s1"])
@@ -234,6 +369,10 @@ class TestPlumbing:
         _, doc = run_json(capsys, ["gv-search", "--n-min", "5", "--n-max", "5"])
         assert doc["version"] == __version__
         assert "conventions" in doc
+
+    def test_csv_refused_where_there_is_no_csv_form(self, capsys):
+        assert main(["validate-code", "--code", "steane", "--format", "csv"]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
     def test_csv_embeds_config_comment(self, capsys):
         main(["gv-search", "--n-min", "149", "--n-max", "149", "--format", "csv"])

@@ -293,6 +293,8 @@ class TestMonteCarlo:
             monte_carlo(inst, 0.1, 0, seed=0)
         with pytest.raises(ValueError):
             monte_carlo(inst, 0.1, 100, seed=0, corruption="maybe")
+        with pytest.raises(ValueError):
+            monte_carlo(inst, 0.1, 100, seed=0, block_size=0)
 
 
 class TestSingleCheck:
