@@ -151,8 +151,12 @@ def _resolve(
     """Merge defaults, config-file values, and explicit flags (flags win).
 
     A config-file value goes through its flag's kind and choices; a null one,
-    like an absent flag, leaves the option unset.
+    like an absent flag, leaves the option unset. A key the subcommand does
+    not know is refused.
     """
+    unknown = sorted(set(file_values) - {option.key for option in command.options})
+    if unknown:
+        raise UsageError(f"unknown config key {unknown[0]!r}")
     config = {}
     for option in command.options:
         value = option.default
@@ -214,10 +218,13 @@ def _emit(args: argparse.Namespace, command: Command, config: dict[str, Any], ou
 
 
 def _fmt_log10(value: Any) -> float | None:
-    """Log-domain magnitudes rounded so serialization is platform-stable."""
+    """Log-domain magnitudes rounded so serialization is platform-stable.
+
+    A zero, or a non-finite float, is written as null.
+    """
     if isinstance(value, LogScalar):
         return None if value.is_zero() else round(value.log10, 6)
-    return round(float(value), 6)
+    return round(float(value), 6) if math.isfinite(value) else None
 
 
 def _pipeline_spec(config: dict[str, Any]) -> ProtocolSpec:

@@ -173,7 +173,7 @@ def figure2_dataset(
                 "check_schedule",
                 f"({p};{r})",
                 math.inf if report.eps_out.is_zero() else -report.eps_out.log10,
-                report.effective_rate.log10,
+                -math.inf if report.effective_rate.is_zero() else report.effective_rate.log10,
             )
         )
 

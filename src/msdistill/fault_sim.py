@@ -5,24 +5,26 @@ physical qubit in every check. A check rejects when the inner code sees a
 detectable residual, flips its recorded outcome when a qubit has both slots
 faulty, and is corrupted when the residual reaches the code distance.
 
-The Monte Carlo sampler draws only the faulty sites: the gaps between faults
-are geometric, so its cost scales with trials x sites x eps, and only trials
-holding a fault reach the check verdict. A fault-free trial is accepted and
-not erroneous.
+One vectorized verdict decides every check: ``run_check`` is that kernel on
+one row, and ``min_undetected_weight`` calls it on a batch. The Monte Carlo
+sampler draws only the faulty sites: the gaps between faults are geometric,
+so its cost scales with trials x sites x eps, and only trials holding a fault
+reach the verdict. A fault-free trial is accepted and not erroneous.
 """
 from __future__ import annotations
 
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
 import numpy as np
 
-from .gf2 import BinMatrix, row_space, syndrome
-from .inner_codes import WeaklySelfDualCode
+from .analytics import hadamard_step_counts
+from .gf2 import BinMatrix, row_space
+from .inner_codes import CssCodeParams, WeaklySelfDualCode
 from .outer_codes import OuterCode, check_sensitivity
 
 DEFAULT_BLOCK_SIZE = 1 << 16
@@ -60,7 +62,7 @@ class ProtocolInstance:
 
     @property
     def fault_sites(self) -> int:
-        return self.num_data + 2 * self.inner.params.n_q * self.num_checks
+        return hadamard_step_counts(self.inner.params, self.num_data, self.num_checks)
 
 
 @dataclass(frozen=True)
@@ -90,38 +92,23 @@ def run_check(
 ) -> CheckVerdict:
     """Evaluate one check of the schedule against a fault assignment.
 
-    Idealized mode uses only the inner distance: a residual of weight
-    1..d-1 rejects, weight >= d is a logical-corruption event. Exact mode
-    computes the residual's syndrome against the inner check matrix.
+    This is the Monte Carlo kernel's verdict on a grid of one row. Idealized
+    mode uses only the inner distance: a residual of weight 1..d-1 rejects,
+    weight >= d is a logical-corruption event. Exact mode computes the
+    residual's syndrome against the inner check matrix. A rejected check
+    reads (True, 0, False). Fault arrays not shaped for the instance are refused.
     """
-    inner = instance.inner
-    n_q, d = inner.params.n_q, inner.params.d_q
-    slot1 = faults.slots[check_index, :, 0]
-    slot2 = faults.slots[check_index, :, 1]
-    single = slot1 ^ slot2
-    doubles = int((slot1 & slot2).sum())
-
-    row = instance.outer.matrix.row_bits[check_index]
-    data_parity = 0
-    for i in range(instance.num_data):
-        if (row >> i) & 1:
-            data_parity ^= int(faults.data[i])
-    outcome = data_parity ^ (doubles & 1)
-
-    residual_weight = int(single.sum())
-    if mode == "idealized":
-        if 1 <= residual_weight <= d - 1:
-            return CheckVerdict(True, 0, False)
-        return CheckVerdict(False, outcome, residual_weight >= d)
-    if mode == "exact":
-        packed = 0
-        for q in range(n_q):
-            packed |= int(single[q]) << q
-        if syndrome(inner.check, packed) != 0:
-            return CheckVerdict(True, 0, False)
-        corrupted = packed != 0 and packed not in row_space(inner.check)
-        return CheckVerdict(False, outcome, corrupted)
-    raise ValueError(f"unknown mode {mode!r}")
+    shapes = ((instance.num_data,), (instance.num_checks, instance.inner.params.n_q, 2))
+    if (faults.data.shape, faults.slots.shape) != shapes:
+        raise ValueError(
+            f"fault shapes data {faults.data.shape}, slots {faults.slots.shape} do not "
+            f"match the instance's data {shapes[0]}, slots {shapes[1]}"
+        )
+    row = np.concatenate((faults.data, faults.slots.reshape(-1))).astype(bool)
+    reject, outcome, corrupt = _verdicts(_Kernel.build(instance, mode), row[None, :])
+    if reject[0, check_index]:
+        return CheckVerdict(True, 0, False)
+    return CheckVerdict(False, int(outcome[0, check_index]), bool(corrupt[0, check_index]))
 
 
 def _wilson_interval(successes: int, total: int) -> tuple[float | None, float, float]:
@@ -183,23 +170,23 @@ class SimReport:
 
 @dataclass(frozen=True)
 class _Kernel:
-    """Precomputed arrays shared by all Monte Carlo blocks of one instance."""
+    """Precomputed arrays shared by every verdict on one instance in one mode."""
 
     outer: np.ndarray  # (m, a_n) uint8
+    params: CssCodeParams
     inner_check: np.ndarray | None  # (rows, n_q) uint8, exact mode only
-    row_span: np.ndarray | None  # sorted packed row-space vectors
-    n_q: int
-    d_q: int
+    row_span: np.ndarray | None  # sorted packed row-space vectors, exact mode only
 
     @classmethod
     def build(cls, instance: ProtocolInstance, mode: str) -> "_Kernel":
-        outer = instance.outer.matrix.to_array()
+        outer, params = instance.outer.matrix.to_array(), instance.inner.params
+        if mode == "idealized":
+            return cls(outer, params, None, None)
         if mode == "exact":
             check = instance.inner.check
             span = np.array(sorted(row_space(check)), dtype=np.int64)
-            return cls(outer, check.to_array(), span, instance.inner.params.n_q,
-                       instance.inner.params.d_q)
-        return cls(outer, None, None, instance.inner.params.n_q, instance.inner.params.d_q)
+            return cls(outer, params, check.to_array(), span)
+        raise ValueError(f"unknown mode {mode!r}")
 
 
 def _fault_positions(
@@ -240,12 +227,15 @@ def _fault_positions(
             yield positions[:cut]
 
 
-def _verdicts(
-    kernel: _Kernel, faults: np.ndarray, mode: str, corruption: str
-) -> tuple[int, int, int]:
-    """(accepted, erroneous_accepted, data_flips_accepted) over rows of a fault grid."""
+def _verdicts(kernel: _Kernel, faults: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-check (reject, outcome, corrupt), each of shape (rows, m), over a fault grid.
+
+    A grid row holds one trial's sites: the a_n data states, then the slots in
+    (m, n_q, 2) order. A rejected check is never corrupt; its outcome means
+    nothing.
+    """
     m, a_n = kernel.outer.shape
-    n_q, d = kernel.n_q, kernel.d_q
+    n_q, d = kernel.params.n_q, kernel.params.d_q
 
     data = faults[:, :a_n]
     slots = faults[:, a_n:].reshape(len(faults), m, n_q, 2)
@@ -253,22 +243,28 @@ def _verdicts(
     doubles = slots[..., 0] & slots[..., 1]
     double_parity = doubles.sum(axis=2, dtype=np.int64) & 1
     data_parity = (data.astype(np.uint8) @ kernel.outer.T.astype(np.int64)) & 1
-    outcomes = data_parity ^ double_parity
+    outcome = data_parity ^ double_parity
 
-    if mode == "idealized":
+    if kernel.inner_check is None:
         residual = single.sum(axis=2, dtype=np.int64)
-        reject = ((residual >= 1) & (residual <= d - 1)).any(axis=1)
-        corrupt = (residual >= d).any(axis=1)
+        reject = (residual >= 1) & (residual <= d - 1)
+        corrupt = residual >= d
     else:
         syndromes = (single.astype(np.int64) @ kernel.inner_check.T.astype(np.int64)) & 1
-        check_reject = syndromes.any(axis=2)
-        reject = check_reject.any(axis=1)
+        reject = syndromes.any(axis=2)
         powers = (1 << np.arange(n_q, dtype=np.int64))
         packed = single.astype(np.int64) @ powers
         in_span = np.isin(packed, kernel.row_span)
-        corrupt = (~check_reject & (packed != 0) & ~in_span).any(axis=1)
+        corrupt = ~reject & (packed != 0) & ~in_span
+    return reject, outcome, corrupt
 
-    accept = ~reject & (outcomes == 0).all(axis=1)
+
+def _tally(kernel: _Kernel, faults: np.ndarray, corruption: str) -> tuple[int, int, int]:
+    """(accepted, erroneous_accepted, data_flips_accepted) over rows of a fault grid."""
+    reject, outcome, corrupt = _verdicts(kernel, faults)
+    data = faults[:, : kernel.outer.shape[1]]
+    accept = ~reject.any(axis=1) & ~outcome.any(axis=1)
+    corrupt = corrupt.any(axis=1)
     if corruption == "reject":
         accept &= ~corrupt
         erroneous = accept & data.any(axis=1)
@@ -285,7 +281,6 @@ def _simulate_block(
     seed: int,
     block_index: int,
     block_size: int,
-    mode: str,
     corruption: str,
 ) -> tuple[int, int, int]:
     """Returns (accepted, erroneous_accepted, data_flips_accepted) for one block.
@@ -294,7 +289,7 @@ def _simulate_block(
     accepted and not erroneous in both modes and under both conventions.
     """
     m, a_n = kernel.outer.shape
-    n_sites = a_n + 2 * m * kernel.n_q
+    n_sites = hadamard_step_counts(kernel.params, a_n, m)
 
     key = ((seed & ((1 << 64) - 1)) << 64) | (block_index & ((1 << 64) - 1))
     rng = np.random.Generator(np.random.Philox(key=key))
@@ -306,7 +301,7 @@ def _simulate_block(
         touched, row = np.unique(trial, return_inverse=True)
         faults = np.zeros((len(touched), n_sites), dtype=bool)
         faults[row, site] = True
-        acc, err, flip = _verdicts(kernel, faults, mode, corruption)
+        acc, err, flip = _tally(kernel, faults, corruption)
         accepted += acc - len(faults)
         erroneous += err
         flips += flip
@@ -341,15 +336,13 @@ def monte_carlo(
         raise ValueError("block_size must be >= 1")
     if corruption not in ("erroneous", "reject"):
         raise ValueError(f"unknown corruption convention {corruption!r}")
-    if mode not in ("idealized", "exact"):
-        raise ValueError(f"unknown mode {mode!r}")
 
     kernel = _Kernel.build(instance, mode)
     n_blocks = (trials + block_size - 1) // block_size
     sizes = [block_size] * (n_blocks - 1) + [trials - block_size * (n_blocks - 1)]
 
     def job(index: int) -> tuple[int, int, int]:
-        return _simulate_block(kernel, eps, seed, index, sizes[index], mode, corruption)
+        return _simulate_block(kernel, eps, seed, index, sizes[index], corruption)
 
     if workers is None:
         workers = min(n_blocks, os.cpu_count() or 1)
@@ -428,9 +421,10 @@ def min_undetected_weight(
 ) -> int | None:
     """Lightest accepted fault pattern leaving a data error, or None if > weight_max.
 
-    Enumerates data patterns by ascending weight; for each one, a candidate
-    assignment hides every violated check with a slot double and is verified
-    through run_check. Guarded to desk scale.
+    Enumerates data patterns by ascending weight; each one that could still
+    win becomes a candidate assignment that hides every violated check with a
+    slot double on its first qubit. The candidates of one weight are verified
+    together by the check verdict. Guarded to desk scale.
     """
     if instance.fault_sites > ENUMERATION_SITE_GUARD and weight_max > ENUMERATION_WEIGHT_GUARD:
         raise ValueError(
@@ -441,28 +435,30 @@ def min_undetected_weight(
     m = instance.num_checks
     n_q = instance.inner.params.n_q
     cols = instance.outer.matrix.column_bits()
+    kernel = _Kernel.build(instance, "idealized")
 
     best: int | None = None
     for weight in range(1, min(weight_max, a_n) + 1):
         if best is not None and weight >= best:
             break
+        supports, costs = [], []
         for support in combinations(range(a_n), weight):
             acc = 0
             for j in support:
                 acc ^= cols[j]
             cost = weight + 2 * acc.bit_count()
-            if cost > weight_max or (best is not None and cost >= best):
-                continue
-            data = np.zeros(a_n, dtype=np.uint8)
-            for j in support:
-                data[j] = 1
-            slot_faults = np.zeros((m, n_q, 2), dtype=np.uint8)
-            for check in range(m):
-                if (acc >> check) & 1:
-                    slot_faults[check, 0, :] = 1  # a double on the first qubit
-            assignment = FaultAssignment(data, slot_faults)
-            verdicts = [run_check(instance, j, assignment) for j in range(m)]
-            if any(v.rejected or v.outcome for v in verdicts):
-                continue
-            best = cost
+            if cost <= weight_max and (best is None or cost < best):
+                supports.append(support)
+                costs.append(cost)
+        if not supports:
+            continue
+        faults = np.zeros((len(supports), instance.fault_sites), dtype=bool)
+        faults[np.arange(len(supports))[:, None], supports] = True
+        violated = (faults[:, :a_n].astype(np.uint8) @ kernel.outer.T.astype(np.int64)) & 1
+        slots = faults[:, a_n:].reshape(len(supports), m, n_q, 2)  # a view
+        slots[:, :, 0, :] = violated[:, :, None]  # a double on the first qubit
+        reject, outcome, _ = _verdicts(kernel, faults)
+        accepted = ~reject.any(axis=1) & ~outcome.any(axis=1)
+        if accepted.any():  # every candidate costs less than the best so far
+            best = int(np.array(costs)[accepted].min())
     return best

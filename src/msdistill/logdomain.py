@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 
 _LN10 = math.log(10.0)
+_NEG_INF = -math.inf
 
 
 @total_ordering
@@ -19,14 +20,22 @@ class LogScalar:
     """
 
     sign: int
-    log10: float  # meaningful only when sign != 0
+    log10: float  # 0.0 when sign == 0: zero has one representation
 
     def __post_init__(self) -> None:
         if self.sign not in (-1, 0, 1):
             raise ValueError("sign must be -1, 0 or +1")
+        if self.sign == 0 or not self.log10 > _NEG_INF:  # zero, -inf or NaN
+            if math.isnan(self.log10):
+                raise ValueError("log10 magnitude is NaN")
+            # frozen: set the fields of the one zero directly
+            object.__setattr__(self, "sign", 0)
+            object.__setattr__(self, "log10", 0.0)
 
     @classmethod
     def from_float(cls, x: float) -> "LogScalar":
+        if not math.isfinite(x):
+            raise ValueError(f"expected a finite number, got {x}")
         if x == 0:
             return cls(0, 0.0)
         return cls(1 if x > 0 else -1, math.log10(abs(x)))

@@ -8,6 +8,10 @@ from msdistill.inner_codes import CssCodeParams
 from msdistill.pipeline import HadamardStep, PreDistillation, ProtocolSpec, evaluate
 
 
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
 def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -124,6 +128,27 @@ class TestAnalyze:
 
     def test_missing_inner(self, capsys):
         assert main(["analyze", "--pre-rounds", "3"]) == EXIT_USAGE
+
+
+    def test_collapsed_success_probability_is_null(self, capsys):
+        argv = ["analyze", "--inner", "149,117,5", "--pre-rounds", "0",
+                "--scale", str(10**400), "--success-eps", "achieved"]
+        assert main(argv) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        results = doc["results"]
+        assert results["log10_rate"] is None
+        assert results["log10_success_prob"] is None
+        assert results["stages"][1]["log10_success_prob"] is None
+
+    def test_collapsed_rate_in_compare_is_null(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        entry = {"inner": [149, 117, 5], "pre_rounds": 0, "scale": 10**400}
+        cfg.write_text(json.dumps({"specs": [entry], "success_eps": "achieved",
+                                   "pre_rounds_max": 1}))
+        assert main(["compare", "--config", str(cfg)]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        (row,) = [r for r in doc["results"] if r["series"] == "check_schedule"]
+        assert row["log10_rate"] is None
 
 
 class TestSearch:
@@ -292,6 +317,22 @@ class TestConfigFileChecks:
         )
         assert code == EXIT_USAGE
         assert "'eps0'" in captured.err
+
+    def test_unknown_key_refused(self, capsys, tmp_path):
+        code, captured = self.run_config(
+            capsys, tmp_path, ["simulate"], {"trails": 10, "eps": 0.2}
+        )
+        assert code == EXIT_USAGE
+        assert "'trails'" in captured.err
+        assert captured.out == ""
+
+    def test_unknown_key_in_compare_entry_refused(self, capsys, tmp_path):
+        specs = [{"inner": [149, 117, 5], "pre_rounds": 3},
+                 {"inner": [149, 117, 5], "pre_rouds": 3}]
+        code, captured = self.run_config(capsys, tmp_path, ["compare"], {"specs": specs})
+        assert code == EXIT_USAGE
+        assert "specs[1]" in captured.err and "'pre_rouds'" in captured.err
+        assert captured.out == ""
 
 
 class TestReplay:

@@ -108,6 +108,46 @@ class TestRunCheck:
                 if not ideal.rejected:
                     assert ideal.outcome == exact.outcome
 
+    def test_mismatched_shapes_refused(self):
+        inst = steane_identity_instance()
+        slots = np.zeros((4, 8, 2), dtype=np.uint8)
+        slots[0, 7, 0] = 1  # qubit 7 does not exist in a 7-qubit code
+        for mode in ("idealized", "exact"):
+            with pytest.raises(ValueError, match=r"\(4, 8, 2\).*\(4, 7, 2\)"):
+                run_check(inst, 0, FaultAssignment(np.zeros(4, dtype=np.uint8), slots), mode)
+        short = FaultAssignment(np.zeros(3, dtype=np.uint8), np.zeros((4, 7, 2), dtype=np.uint8))
+        with pytest.raises(ValueError, match=r"\(3,\).*\(4,\)"):
+            run_check(inst, 0, short)
+
+
+class TestSiteLayout:
+    """Every slot site reaches its own check, and only that one."""
+
+    @staticmethod
+    def instance():
+        outer = OuterCode(BinMatrix.from_rows([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]), 0, 0)
+        return ProtocolInstance(STEANE, outer, strict=False)
+
+    @pytest.mark.parametrize("mode", ["idealized", "exact"])
+    def test_single_slot_fault_rejects_only_its_check(self, mode):
+        inst = self.instance()
+        for j in range(3):
+            for q in range(7):
+                for t in (0, 1):
+                    faults = assignment(inst, slots=[(j, q, t)])
+                    verdicts = [run_check(inst, k, faults, mode) for k in range(3)]
+                    assert [v.rejected for v in verdicts] == [k == j for k in range(3)]
+
+    @pytest.mark.parametrize("mode", ["idealized", "exact"])
+    def test_double_flips_only_its_check(self, mode):
+        inst = self.instance()
+        for j in range(3):
+            for q in range(7):
+                faults = assignment(inst, slots=[(j, q, 0), (j, q, 1)])
+                verdicts = [run_check(inst, k, faults, mode) for k in range(3)]
+                assert not any(v.rejected or v.corrupted for v in verdicts)
+                assert [v.outcome for v in verdicts] == [int(k == j) for k in range(3)]
+
 
 class TestProtocolInstance:
     def test_strict_requires_matching_degree(self):
@@ -284,6 +324,10 @@ class TestMonteCarlo:
     def test_exact_mode_runs(self):
         report = monte_carlo(steane_identity_instance(), 5e-3, 100_000, seed=2, mode="exact")
         assert report.accepted > 0
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="quantum"):
+            monte_carlo(steane_identity_instance(), 0.1, 100, seed=0, mode="quantum")
 
     def test_parameter_guards(self):
         inst = steane_identity_instance()

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from msdistill.logdomain import (
@@ -109,6 +109,47 @@ class TestOneMinus:
             log10_one_minus(LogScalar.from_float(1.5))
         with pytest.raises(ValueError):
             log10_one_minus(-ONE)
+
+
+class TestOneZeroNoNaN:
+    def test_collapsed_power_is_the_zero(self):
+        result = pow_one_minus(LogScalar.from_float(0.5), 10**400)
+        assert result.is_zero()
+        assert (result.sign, result.log10) == (0, 0.0)
+        assert result == ZERO and hash(result) == hash(ZERO)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_floats_rejected(self, x):
+        with pytest.raises(ValueError):
+            LogScalar.from_float(x)
+        with pytest.raises(ValueError):
+            LogScalar.coerce(x)
+
+    def test_nan_magnitude_rejected(self):
+        with pytest.raises(ValueError):
+            LogScalar.from_log10(math.nan)
+        with pytest.raises(ValueError):
+            LogScalar.from_log10(math.inf) / LogScalar.from_log10(math.inf)
+
+    @given(st.sampled_from([-1, 0, 1]), st.floats(allow_nan=True, allow_infinity=True))
+    @example(1, -math.inf)
+    @example(-1, -math.inf)
+    @example(0, 7.5)
+    def test_every_zero_is_one_zero(self, sign, log10):
+        if math.isnan(log10):
+            with pytest.raises(ValueError):
+                LogScalar(sign, log10)
+            return
+        value = LogScalar(sign, log10)
+        assert value.is_zero() == (sign == 0 or log10 == -math.inf)
+        if value.is_zero():
+            assert (value.sign, value.log10) == (0, 0.0) and value == ZERO
+        else:
+            assert (value.sign, value.log10) == (sign, log10)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_from_float_zero_iff_zero(self, x):
+        assert LogScalar.from_float(x).is_zero() == (x == 0)
 
 
 class TestLogBinomial:
