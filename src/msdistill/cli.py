@@ -24,7 +24,8 @@ from .inner_codes import (
 from .logdomain import LogScalar
 from .outer_codes import ConstructionError, OuterCode, build_biregular, check_sensitivity, girth
 from .pipeline import (
-    HadamardStep, PipelineReport, PreDistillation, ProtocolSpec, evaluate, search_best,
+    HadamardStep, PipelineReport, PreDistillation, ProtocolSpec, StageError, default_scale_rule,
+    evaluate, search_best,
 )
 
 EXIT_OK = 0
@@ -220,17 +221,18 @@ def _emit(args: argparse.Namespace, command: Command, config: dict[str, Any], ou
 def _fmt_log10(value: Any) -> float | None:
     """Log-domain magnitudes rounded so serialization is platform-stable.
 
-    A zero, or a non-finite float, is written as null.
+    A zero, or a non-finite float, is written as null, and -0.0 as 0.0.
     """
     if isinstance(value, LogScalar):
-        return None if value.is_zero() else round(value.log10, 6)
-    return round(float(value), 6) if math.isfinite(value) else None
+        return None if value.is_zero() else _fmt_log10(value.log10)
+    # adding 0.0 turns -0.0 into 0.0
+    return round(float(value), 6) + 0.0 if math.isfinite(value) else None
 
 
 def _pipeline_spec(config: dict[str, Any]) -> ProtocolSpec:
     n, k, d = _nkd(config["inner"])
     params = CssCodeParams(n, k, d, odd_distance=(d % 2 == 1))
-    scale = config["scale"] or params.k_q**params.d_q
+    scale = config["scale"] or default_scale_rule(params)
     stages = (PreDistillation(config["pre_rounds"]), HadamardStep(params, scale))
     return ProtocolSpec(stages, config["eps0"])
 
@@ -353,10 +355,7 @@ def cmd_check_sensitivity(config: dict[str, Any]) -> Output:
     except ValueError:
         matrix = BinMatrix.from_text(text)
     try:
-        ok, witness = check_sensitivity(
-            matrix, config["d_tilde"], config["s_req"], config["mode"],
-            samples=config["samples"], seed=config["seed"],
-        )
+        ok, witness = check_sensitivity(matrix, config["d_tilde"], config["s_req"])
     except ValueError as exc:
         raise InfeasibleError(str(exc)) from exc
     results: dict[str, Any] = {"sensitive": ok}
@@ -539,9 +538,6 @@ COMMANDS = {command.name: command for command in (
         _MATRIX_FILE._replace(required=True),
         Option("d_tilde", None, INT, "largest pattern weight to cover", required=True),
         Option("s_req", None, INT, "checks each pattern must violate", required=True),
-        Option("mode", "exhaustive", STR, "pattern enumeration", choices=("exhaustive", "sampled")),
-        Option("samples", 20_000, INT, "patterns drawn in sampled mode"),
-        _SEED,
     )),
     Command("analyze", "evaluate one multi-stage protocol", cmd_analyze, (
         Option("inner", None, NKD, "n,k,d of the inner code", required=True),
@@ -616,7 +612,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InfeasibleError as exc:
+    except (InfeasibleError, StageError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (OSError, KeyError, ValueError) as exc:

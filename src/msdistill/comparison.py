@@ -13,7 +13,6 @@ from .pipeline import PipelineReport, ProtocolSpec, evaluate
 QUDIT_DIMENSION = 1024
 CCZ_TO_TARGET_CONVERSION = 70  # |CCZ> states per distillation-code input state
 T_PER_CCZ = 4
-T_OUT_PER_CCZ_WITH_CATALYST = 2
 PUBLISHED_MIN_BLOCK_LENGTH = 932093  # the paper's stated N for the smallest instance
 MAX_CATALYST_ROUNDS = 30
 

@@ -1,14 +1,16 @@
 """GF(2) linear algebra on bit-packed binary matrices.
 
-Rows are stored as Python integers (bit ``j`` of a row word is column ``j``),
-which keeps rank / syndrome loops fast enough for exhaustive distance search.
+Rows are stored as Python integers (bit ``j`` of a row word is column ``j``).
+:func:`low_weight_syndromes` is the one enumerator of low-weight supports.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+SYNDROME_CHUNK_ROWS = 1 << 13  # supports per chunk of low_weight_syndromes
 
 
 @dataclass(frozen=True)
@@ -152,20 +154,50 @@ def syndrome(matrix: BinMatrix, error_bits: int) -> int:
     return out
 
 
-def syndrome_vec(matrix: BinMatrix, error: Sequence[int]) -> list[int]:
-    """Vector-in, vector-out wrapper around :func:`syndrome`."""
-    if len(error) != matrix.cols:
-        raise ValueError("error vector length must equal the column count")
-    packed = 0
-    for j, e in enumerate(error):
-        packed |= (e & 1) << j
-    s = syndrome(matrix, packed)
-    return [(s >> i) & 1 for i in range(matrix.rows)]
-
-
 def row_space(matrix: BinMatrix) -> frozenset[int]:
     """All packed vectors in the row span (use only for small matrices)."""
     span = {0}
     for r in matrix.row_bits:
         span |= {x ^ r for x in span}
     return frozenset(span)
+
+
+def low_weight_syndromes(
+    matrix: BinMatrix, weight_max: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every support of weight 1..weight_max with the XOR of its columns, by weight.
+
+    Yields chunks of at most SYNDROME_CHUNK_ROWS ``(supports, syndromes)`` rows
+    in ``itertools.combinations`` order: (rows, w) column indices and (rows,
+    words) uint64, bit ``i % 64`` of word ``i // 64`` being matrix row ``i``.
+    Weight w extends the stored weight-(w-1) prefixes by every larger index,
+    so memory stays near C(cols, w-1) prefixes plus one chunk.
+    """
+    n, words = matrix.cols, (matrix.rows + 63) // 64
+    mask = (1 << 64) - 1
+    columns = np.array(
+        [[(c >> (64 * k)) & mask for k in range(words)] for c in matrix.column_bits()],
+        dtype=np.uint64,
+    ).reshape(n, words)
+    prefixes = np.zeros((1, 0), dtype=np.intp)  # the empty support
+    prefix_syndromes = np.zeros((1, words), dtype=np.uint64)
+    last = np.array([-1])
+    for weight in range(1, min(weight_max, n) + 1):
+        counts = n - 1 - last  # extensions of each prefix by a larger index
+        ends = np.cumsum(counts)
+        total, keep = int(ends[-1]), weight < weight_max
+        level, level_syndromes = [], []
+        for start in range(0, total, SYNDROME_CHUNK_ROWS):
+            flat = np.arange(start, min(start + SYNDROME_CHUNK_ROWS, total))
+            parent = np.searchsorted(ends, flat, side="right")
+            index = last[parent] + 1 + flat - (ends[parent] - counts[parent])
+            supports = np.column_stack((prefixes[parent], index))
+            syndromes = prefix_syndromes[parent] ^ columns[index]
+            if keep:
+                level.append(supports)
+                level_syndromes.append(syndromes)
+            yield supports, syndromes
+        if keep:
+            prefixes = np.concatenate(level)
+            prefix_syndromes = np.concatenate(level_syndromes)
+            last = prefixes[:, -1]

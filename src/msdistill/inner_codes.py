@@ -3,9 +3,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
-from .gf2 import BinMatrix, is_self_orthogonal, rank2, row_space, syndrome
+from .gf2 import BinMatrix, is_self_orthogonal, low_weight_syndromes, rank2, row_space
 
 EXHAUSTIVE_DISTANCE_LIMIT = 20
 
@@ -107,20 +106,18 @@ NO_LOGICAL_SENTINEL_OFFSET = 1  # min_distance_css returns cols+1 when k = 0
 def min_distance_css(check: BinMatrix) -> int:
     """Exhaustive CSS distance: lightest zero-syndrome vector outside the row space.
 
-    Refuses above EXHAUSTIVE_DISTANCE_LIMIT columns; returns cols+1 when no
-    logical operator exists (k = 0 codes).
+    Takes supports by weight from :func:`gf2.low_weight_syndromes`. Refuses above
+    EXHAUSTIVE_DISTANCE_LIMIT columns; returns cols+1 when no logical operator
+    exists (k = 0 codes).
     """
     n = check.cols
     if n > EXHAUSTIVE_DISTANCE_LIMIT:
         raise ValueError(f"exhaustive distance limited to {EXHAUSTIVE_DISTANCE_LIMIT} columns")
     span = row_space(check)
-    for weight in range(1, n + 1):
-        for support in combinations(range(n), weight):
-            e = 0
-            for j in support:
-                e |= 1 << j
-            if syndrome(check, e) == 0 and e not in span:
-                return weight
+    for supports, syndromes in low_weight_syndromes(check, n):
+        for support in supports[~syndromes.any(axis=1)].tolist():
+            if sum(1 << j for j in support) not in span:
+                return len(support)
     return n + NO_LOGICAL_SENTINEL_OFFSET
 
 

@@ -4,9 +4,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations
 
-from .gf2 import BinMatrix
+import numpy as np
+
+from .gf2 import BinMatrix, low_weight_syndromes
 from .inner_codes import CssCodeParams
 
 INFINITE_GIRTH = math.inf
@@ -208,57 +209,29 @@ def build_biregular(
 
 
 def check_sensitivity(
-    matrix: BinMatrix,
-    d_tilde: int,
-    s_req: int,
-    mode: str = "exhaustive",
-    *,
-    samples: int = 20_000,
-    seed: int = 0,
+    matrix: BinMatrix, d_tilde: int, s_req: int
 ) -> tuple[bool, SensitivityWitness | None]:
     """Verify that every nonzero pattern of weight <= d_tilde violates >= s_req checks.
 
-    Exhaustive mode enumerates all patterns (guarded); sampled mode draws
-    random low-weight patterns and can only ever return genuine witnesses.
+    Enumerates every pattern through :func:`gf2.low_weight_syndromes`, so a
+    True verdict is a proof. The witness is the first failing pattern, taking
+    weights in ascending order and the supports of one weight in lexicographic
+    order. Raises ValueError above EXHAUSTIVE_PATTERN_GUARD patterns.
     """
-    a_n = matrix.cols
-    cols = matrix.column_bits()
-
-    if mode == "exhaustive":
-        n_patterns = sum(math.comb(a_n, j) for j in range(1, d_tilde + 1))
-        if n_patterns > EXHAUSTIVE_PATTERN_GUARD:
-            raise ValueError(
-                f"{n_patterns} patterns exceed the exhaustive guard "
-                f"({EXHAUSTIVE_PATTERN_GUARD}); use mode='sampled'"
-            )
-        for weight in range(1, d_tilde + 1):
-            for support in combinations(range(a_n), weight):
-                acc = 0
-                pattern = 0
-                for j in support:
-                    acc ^= cols[j]
-                    pattern |= 1 << j
-                violated = acc.bit_count()
-                if violated < s_req:
-                    return False, SensitivityWitness(pattern, weight, violated)
-        return True, None
-
-    if mode == "sampled":
-        rng = random.Random(seed)
-        for _ in range(samples):
-            weight = rng.randint(1, min(d_tilde, a_n))
-            support = rng.sample(range(a_n), weight)
-            acc = 0
-            pattern = 0
-            for j in support:
-                acc ^= cols[j]
-                pattern |= 1 << j
-            violated = acc.bit_count()
-            if violated < s_req:
-                return False, SensitivityWitness(pattern, weight, violated)
-        return True, None
-
-    raise ValueError(f"unknown mode {mode!r}")
+    n_patterns = sum(math.comb(matrix.cols, j) for j in range(1, d_tilde + 1))
+    if n_patterns > EXHAUSTIVE_PATTERN_GUARD:
+        raise ValueError(
+            f"{n_patterns} patterns exceed the exhaustive guard "
+            f"({EXHAUSTIVE_PATTERN_GUARD}); lower d_tilde or check a smaller schedule"
+        )
+    for supports, syndromes in low_weight_syndromes(matrix, d_tilde):
+        violated = np.bitwise_count(syndromes).sum(axis=1, dtype=np.int64)
+        failing = np.flatnonzero(violated < s_req)
+        if failing.size:
+            row = failing[0]
+            pattern = sum(1 << int(j) for j in supports[row])
+            return False, SensitivityWitness(pattern, supports.shape[1], int(violated[row]))
+    return True, None
 
 
 def outer_size_for(params: CssCodeParams, scale: int) -> tuple[int, int]:

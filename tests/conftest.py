@@ -1,8 +1,8 @@
 """Shared test helpers, including independent oracles for the fault model.
 
-The oracle here deliberately re-derives the check semantics from scratch with
-plain Python loops over explicit fault patterns, so it shares no code with the
-vectorized simulator it cross-checks.
+The oracles here deliberately re-derive their semantics from scratch with
+plain Python loops over explicit fault patterns and supports, so they share
+no code with the vectorized simulator and enumerator they cross-check.
 """
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import math
 from itertools import combinations
 
 from msdistill.fault_sim import ProtocolInstance
+from msdistill.gf2 import BinMatrix
 
 
 def enumerate_truncated(
@@ -95,4 +96,51 @@ def oracle_min_weight(instance: ProtocolInstance, weight_max: int) -> int | None
             cost = weight + 2 * violated
             if cost <= weight_max and (best is None or cost < best):
                 best = cost
+    return best
+
+
+def oracle_syndromes(matrix: BinMatrix, weight_max: int) -> list[tuple[tuple[int, ...], int]]:
+    """(support, packed XOR of its columns) for every support of weight 1..weight_max."""
+    cols = matrix.column_bits()
+    out = []
+    for weight in range(1, weight_max + 1):
+        for support in combinations(range(matrix.cols), weight):
+            acc = 0
+            for j in support:
+                acc ^= cols[j]
+            out.append((support, acc))
+    return out
+
+
+def oracle_sensitivity(
+    matrix: BinMatrix, d_tilde: int, s_req: int
+) -> tuple[bool, tuple[int, int, int] | None]:
+    """The scalar exhaustive sensitivity loop; a witness is (pattern_bits, weight, violated)."""
+    cols = matrix.column_bits()
+    for weight in range(1, d_tilde + 1):
+        for support in combinations(range(matrix.cols), weight):
+            acc = 0
+            pattern = 0
+            for j in support:
+                acc ^= cols[j]
+                pattern |= 1 << j
+            if acc.bit_count() < s_req:
+                return False, (pattern, weight, acc.bit_count())
+    return True, None
+
+
+def oracle_min_distance(check: BinMatrix) -> int:
+    """Lightest vector with zero syndrome outside the row space, by brute force over 2^n.
+
+    Returns cols + 1 when every zero-syndrome vector lies in the row space.
+    """
+    n = check.cols
+    span = {0}
+    for row in check.row_bits:
+        span |= {x ^ row for x in span}
+    best = n + 1
+    for vector in range(1, 1 << n):
+        in_kernel = all((row & vector).bit_count() % 2 == 0 for row in check.row_bits)
+        if in_kernel and vector not in span:
+            best = min(best, vector.bit_count())
     return best

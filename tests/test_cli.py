@@ -112,6 +112,33 @@ class TestOuterCommands:
         )
         assert code == EXIT_INFEASIBLE
 
+    def test_guard_exits_two(self, capsys, tmp_path):
+        schedule = tmp_path / "wide.txt"
+        schedule.write_text("0" * 5000 + "\n")
+        code = main(["check-sensitivity", "--matrix-file", str(schedule),
+                     "--d-tilde", "3", "--s-req", "1"])
+        assert code == EXIT_INFEASIBLE
+        assert "exhaustive guard" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--mode", "sampled"], ["--samples", "10"], ["--seed", "1"]])
+    def test_sampling_options_are_gone(self, capsys, tmp_path, flag):
+        schedule = tmp_path / "identity.txt"
+        schedule.write_text("10\n01\n")
+        argv = ["check-sensitivity", "--matrix-file", str(schedule), "--d-tilde", "1",
+                "--s-req", "1"]
+        assert main(argv) == EXIT_OK
+        assert main(argv + flag) == EXIT_USAGE
+
+    def test_output_with_sampling_keys_is_refused(self, capsys, tmp_path):
+        schedule = tmp_path / "identity.txt"
+        schedule.write_text("10\n01\n")
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({"version": "0.1.0", "config": {
+            "matrix_file": str(schedule), "d_tilde": 1, "s_req": 1,
+            "mode": "exhaustive", "samples": 20000, "seed": 0}}))
+        assert main(["check-sensitivity", "--config", str(old)]) == EXIT_USAGE
+        assert "unknown config key 'mode'" in capsys.readouterr().err
+
 
 class TestAnalyze:
     def test_matches_library_evaluation(self, capsys):
@@ -128,6 +155,19 @@ class TestAnalyze:
 
     def test_missing_inner(self, capsys):
         assert main(["analyze", "--pre-rounds", "3"]) == EXIT_USAGE
+
+    def test_input_above_threshold_is_infeasible(self, capsys):
+        code = main(["analyze", "--inner", "149,117,5", "--pre-rounds", "3", "--eps0", "0.2"])
+        assert code == EXIT_INFEASIBLE
+        assert "infeasible: stage 1" in capsys.readouterr().err
+
+    def test_no_negative_zero(self, capsys):
+        assert main(["analyze", "--inner", "149,117,5", "--pre-rounds", "3"]) == EXIT_OK
+        floats = []
+        doc = json.loads(capsys.readouterr().out,
+                         parse_float=lambda t: floats.append(t) or float(t))
+        assert "-0.0" not in floats
+        assert doc["results"]["stages"][1]["log10_success_prob"] == 0.0
 
 
     def test_collapsed_success_probability_is_null(self, capsys):
@@ -265,10 +305,7 @@ class TestConfigFileChecks:
         assert "'seed'" in captured.err
 
     def test_choice_checked_like_the_flag(self, capsys, tmp_path):
-        schedule = tmp_path / "identity.txt"
-        schedule.write_text("10\n01\n")
-        argv = ["check-sensitivity", "--matrix-file", str(schedule), "--d-tilde", "2",
-                "--s-req", "2"]
+        argv = ["simulate", "--trials", "10"]
         assert main(argv + ["--mode", "quantum"]) == EXIT_USAGE
         code, captured = self.run_config(capsys, tmp_path, argv, {"mode": "quantum"})
         assert code == EXIT_USAGE
@@ -400,6 +437,10 @@ class TestTableS1:
         # the published error columns are carried verbatim next to our bound
         assert by_label["(4;1)"]["published_log10_eps_out"] == -353.0
         assert by_label["(4;1)"]["computed_log10_eps_out"] < -353.0
+
+    def test_input_above_threshold_is_infeasible(self, capsys):
+        assert main(["table-s1", "--eps0", "0.2"]) == EXIT_INFEASIBLE
+        assert "infeasible: stage 1" in capsys.readouterr().err
 
 
 class TestPlumbing:

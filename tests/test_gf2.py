@@ -1,30 +1,23 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from conftest import oracle_syndromes
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from strategies import bin_matrices, random_matrix
 
+import msdistill.gf2 as gf2
 from msdistill.gf2 import (
     BinMatrix,
     is_self_orthogonal,
+    low_weight_syndromes,
     mul2,
     rank2,
     row_space,
     syndrome,
-    syndrome_vec,
 )
 from msdistill.inner_codes import STEANE
 
 STEANE_CHECK = STEANE.check
-
-
-@st.composite
-def bin_matrices(draw, max_rows=8, max_cols=16):
-    rows = draw(st.integers(0, max_rows))
-    cols = draw(st.integers(0, max_cols))
-    bits = draw(
-        st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows)
-    )
-    return BinMatrix(rows, cols, tuple(bits))
 
 
 class TestBinMatrix:
@@ -143,8 +136,6 @@ class TestSyndrome:
     def test_length_guard(self):
         with pytest.raises(ValueError):
             syndrome(STEANE_CHECK, 1 << 7)
-        with pytest.raises(ValueError):
-            syndrome_vec(STEANE_CHECK, [0] * 6)
 
     @given(bin_matrices(), st.integers(0), st.integers(0))
     def test_linearity(self, a, e1, e2):
@@ -153,11 +144,42 @@ class TestSyndrome:
         e2 &= mask
         assert syndrome(a, e1 ^ e2) == syndrome(a, e1) ^ syndrome(a, e2)
 
-    def test_vector_wrapper(self):
-        assert syndrome_vec(STEANE_CHECK, [1, 0, 0, 0, 0, 0, 0]) == [
-            STEANE_CHECK.entry(i, 0) for i in range(3)
-        ]
-
 
 def test_row_space_size_matches_rank():
     assert len(row_space(STEANE_CHECK)) == 2 ** rank2(STEANE_CHECK)
+
+
+def unpacked(matrix, weight_max):
+    """The generator's chunks as (support, packed syndrome) pairs, checking each chunk's shape."""
+    out = []
+    for supports, syndromes in low_weight_syndromes(matrix, weight_max):
+        assert 0 < len(supports) <= gf2.SYNDROME_CHUNK_ROWS
+        assert syndromes.shape == (len(supports), (matrix.rows + 63) // 64)
+        assert syndromes.dtype == np.uint64
+        for support, words in zip(supports.tolist(), syndromes.tolist()):
+            out.append((tuple(support), sum(w << (64 * k) for k, w in enumerate(words))))
+    return out
+
+
+class TestLowWeightSyndromes:
+    """Supports come in combinations order, each with the XOR of its columns."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(bin_matrices(max_rows=12, max_cols=12), st.integers(0, 5))
+    @example(random_matrix(70, 10, seed=1), 3)  # more than one syndrome word
+    @example(random_matrix(5, 40, seed=2), 3)  # C(40, 3) = 9880 rows, two chunks
+    def test_matches_combinations(self, matrix, weight_max):
+        assert unpacked(matrix, weight_max) == oracle_syndromes(matrix, weight_max)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 64])
+    def test_chunk_boundaries_inside_a_prefix(self, monkeypatch, chunk_rows):
+        # small chunks cut the extensions of one prefix at every position
+        monkeypatch.setattr(gf2, "SYNDROME_CHUNK_ROWS", chunk_rows)
+        matrix = random_matrix(67, 13, seed=3)
+        assert unpacked(matrix, 4) == oracle_syndromes(matrix, 4)
+
+    def test_weight_beyond_the_width(self):
+        matrix = random_matrix(3, 4, seed=4)
+        assert [s for s, _ in unpacked(matrix, 9)][-1] == (0, 1, 2, 3)
+        assert unpacked(matrix, 0) == []
+        assert unpacked(BinMatrix.zeros(2, 0), 3) == []

@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
+from conftest import oracle_min_distance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msdistill.gf2 import BinMatrix
+from msdistill.gf2 import BinMatrix, is_self_orthogonal
 from msdistill.inner_codes import (
     RM15,
     STEANE,
@@ -18,6 +20,33 @@ from msdistill.inner_codes import (
     min_distance_css,
     validate_code,
 )
+
+
+# self-orthogonal matrices whose row combinations stay self-orthogonal; the
+# last is the self-dual [8,4,4] extended Hamming code
+SELF_ORTHOGONAL_BASES = (
+    STEANE.check, RM15.check, BinMatrix.from_text("11110000\n00111100\n00001111\n01010101"),
+)
+
+
+@st.composite
+def self_orthogonal_matrices(draw):
+    """Random row combinations of a base, columns permuted, or random words kept greedily."""
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        base = draw(st.sampled_from(SELF_ORTHOGONAL_BASES))
+        k = base.rows
+        picks = draw(st.lists(st.integers(1, (1 << k) - 1), min_size=k, max_size=k))
+        combos = np.array([[(p >> i) & 1 for i in range(k)] for p in picks])
+        combined = combos @ base.to_array() % 2
+        return BinMatrix.from_array(combined[:, rng.sample(range(base.cols), base.cols)])
+    cols = draw(st.integers(1, 12))
+    rows: list[int] = []
+    for _ in range(draw(st.integers(0, 64))):
+        word = rng.getrandbits(cols)
+        if all((word & r).bit_count() % 2 == 0 for r in rows + [word]):
+            rows.append(word)
+    return BinMatrix(len(rows), cols, tuple(rows))
 
 
 class TestBinaryEntropy:
@@ -138,6 +167,16 @@ class TestMinDistance:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             min_distance_css(BinMatrix.zeros(1, 21))
+
+    @pytest.mark.parametrize("code", [STEANE, RM15], ids=["steane", "rm15"])
+    def test_library_codes_match_brute_force(self, code):
+        assert min_distance_css(code.check) == oracle_min_distance(code.check)
+
+    @settings(deadline=None, max_examples=60)
+    @given(self_orthogonal_matrices())
+    def test_matches_brute_force(self, check):
+        assert is_self_orthogonal(check)
+        assert min_distance_css(check) == oracle_min_distance(check)
 
 
 class TestCodeLibrary:

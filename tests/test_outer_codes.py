@@ -1,6 +1,10 @@
 import math
 
 import pytest
+from conftest import oracle_sensitivity
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from strategies import bin_matrices, random_matrix
 
 from msdistill.gf2 import BinMatrix
 from msdistill.inner_codes import CssCodeParams
@@ -99,19 +103,38 @@ class TestSensitivity:
         assert witness.weight <= 2
         assert acc.bit_count() == witness.violated_checks < 2
 
-    def test_sampled_mode_never_false_witness(self):
-        matrix = BinMatrix.identity(6)
-        ok, witness = check_sensitivity(matrix, 2, 2, mode="sampled", samples=500, seed=3)
-        if not ok:
-            assert witness.violated_checks < 2
-
     def test_exhaustive_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exhaustive guard"):
             check_sensitivity(BinMatrix.zeros(2, 5000), 3, 1)
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            check_sensitivity(BinMatrix.identity(2), 1, 1, mode="magic")
+
+def assert_matches_oracle(matrix, d_tilde, s_req):
+    ok, witness = check_sensitivity(matrix, d_tilde, s_req)
+    expected_ok, expected_witness = oracle_sensitivity(matrix, d_tilde, s_req)
+    assert ok == expected_ok
+    if witness is None:
+        assert expected_witness is None
+    else:
+        assert (witness.pattern_bits, witness.weight, witness.violated_checks) == expected_witness
+
+
+class TestSensitivityMatchesScalarLoop:
+    """Same verdict and same witness as the scalar exhaustive loop."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(bin_matrices(max_rows=9, max_cols=10), st.integers(0, 4), st.integers(0, 5))
+    # the checks all sit in rows 64-69, the second syndrome word
+    @example(BinMatrix(70, 8, (0,) * 64 + random_matrix(6, 8, seed=1).row_bits), 3, 1)
+    def test_random_matrices(self, matrix, d_tilde, s_req):
+        assert_matches_oracle(matrix, d_tilde, s_req)
+
+    @pytest.mark.parametrize("d_tilde,s_req", [(2, 2), (3, 2), (2, 3), (3, 4)])
+    def test_nine_by_nine(self, d_tilde, s_req):
+        assert_matches_oracle(build_biregular(9, 3, 3, 6, seed=7).matrix, d_tilde, s_req)
+
+    @pytest.mark.parametrize("d_tilde,s_req", [(3, 3), (2, 5), (3, 4)])
+    def test_sixty_bit_schedule(self, d_tilde, s_req):
+        assert_matches_oracle(build_biregular(60, 3, 3, 6, seed=1).matrix, d_tilde, s_req)
 
 
 class TestGirthSensitivityLink:
