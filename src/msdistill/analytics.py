@@ -12,6 +12,10 @@ FIFTEEN_TO_ONE_INPUTS = 15
 FIFTEEN_TO_ONE_ERROR_COEFF = 35
 
 
+class ThresholdError(ValueError):
+    """A 15->1 round got an input error of 1 or more: the chain started above threshold."""
+
+
 @dataclass(frozen=True)
 class StageReport:
     """Evaluated input/output accounting for one distillation stage."""
@@ -65,7 +69,9 @@ def predistill_chain(rounds: int, eps0: LogScalar | float) -> StageReport:
     ) * eps0**power
     success = ONE
     eps = eps0
-    for _ in range(rounds):
+    for index in range(rounds):
+        if not eps < ONE:
+            raise ThresholdError(f"15->1 round {index + 1}: input error must be below 1")
         success = success * pow_one_minus(eps, FIFTEEN_TO_ONE_INPUTS)
         eps = LogScalar.coerce(FIFTEEN_TO_ONE_ERROR_COEFF) * eps**3
     return StageReport(LogScalar.coerce(FIFTEEN_TO_ONE_INPUTS) ** rounds, eps_out, success)

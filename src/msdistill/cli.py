@@ -13,7 +13,7 @@ import sys
 from typing import Any, Callable, NamedTuple, Sequence
 
 from . import __version__
-from .analytics import overhead_exponent
+from .analytics import ThresholdError, overhead_exponent
 from .comparison import CSV_HEADER, figure2_dataset
 from .fault_sim import ProtocolInstance, fit_error_order, make_single_check_instance, monte_carlo
 from .gf2 import BinMatrix
@@ -612,7 +612,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InfeasibleError, StageError) as exc:
+    except (InfeasibleError, StageError, ThresholdError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (OSError, KeyError, ValueError) as exc:

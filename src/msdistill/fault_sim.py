@@ -1,9 +1,9 @@
 """Fault-injection simulation of the check-and-post-select semantics.
 
 Faults live on the data magic states and on the two T-type slots of every
-physical qubit in every check. A check rejects when the inner code sees a
-detectable residual, flips its recorded outcome when a qubit has both slots
-faulty, and is corrupted when the residual reaches the code distance.
+physical qubit in every check. A check rejects on a detectable residual, flips
+its outcome when a qubit has both slots faulty, and is corrupted by a logical
+residual: weight >= d (idealized mode) or outside the row space (exact mode).
 
 One vectorized verdict decides every check: ``run_check`` is that kernel on
 one row, and ``min_undetected_weight`` calls it on a batch. The Monte Carlo
@@ -144,11 +144,6 @@ class SimReport:
     def eps_out_total(self) -> tuple[float | None, float, float]:
         return _wilson_interval(self.erroneous_accepted, self.accepted)
 
-    @property
-    def eps_out_per_copy(self) -> tuple[float | None, float, float]:
-        # counts data flips only; scaled Wilson over accepted copies
-        return _wilson_interval(self.data_flips_accepted, self.accepted)
-
     def to_json_dict(self) -> dict[str, object]:
         point, lo, hi = self.eps_out_total
         a_point, a_lo, a_hi = self.accept_prob
@@ -170,22 +165,25 @@ class SimReport:
 
 @dataclass(frozen=True)
 class _Kernel:
-    """Precomputed arrays shared by every verdict on one instance in one mode."""
+    """Precomputed arrays shared by every verdict on one instance in one mode.
+
+    Exact mode holds the inner checks H over the row space's parity checks K.
+    """
 
     outer: np.ndarray  # (m, a_n) uint8
     params: CssCodeParams
-    inner_check: np.ndarray | None  # (rows, n_q) uint8, exact mode only
-    row_span: np.ndarray | None  # sorted packed row-space vectors, exact mode only
+    inner_checks: tuple[np.ndarray, ...] | None  # qubits of each row of [H; K], exact mode only
+    syndrome_rows: int  # rows(H): the leading rows of inner_checks
 
     @classmethod
     def build(cls, instance: ProtocolInstance, mode: str) -> "_Kernel":
         outer, params = instance.outer.matrix.to_array(), instance.inner.params
         if mode == "idealized":
-            return cls(outer, params, None, None)
+            return cls(outer, params, None, 0)
         if mode == "exact":
             check = instance.inner.check
-            span = np.array(sorted(row_space(check)), dtype=np.int64)
-            return cls(outer, params, check.to_array(), span)
+            stacked = np.vstack((check.to_array(), row_space(check).to_array()))
+            return cls(outer, params, tuple(map(np.flatnonzero, stacked)), check.rows)
         raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -245,17 +243,16 @@ def _verdicts(kernel: _Kernel, faults: np.ndarray) -> tuple[np.ndarray, np.ndarr
     data_parity = (data.astype(np.uint8) @ kernel.outer.T.astype(np.int64)) & 1
     outcome = data_parity ^ double_parity
 
-    if kernel.inner_check is None:
+    if kernel.inner_checks is None:
         residual = single.sum(axis=2, dtype=np.int64)
         reject = (residual >= 1) & (residual <= d - 1)
         corrupt = residual >= d
     else:
-        syndromes = (single.astype(np.int64) @ kernel.inner_check.T.astype(np.int64)) & 1
-        reject = syndromes.any(axis=2)
-        powers = (1 << np.arange(n_q, dtype=np.int64))
-        packed = single.astype(np.int64) @ powers
-        in_span = np.isin(packed, kernel.row_span)
-        corrupt = ~reject & (packed != 0) & ~in_span
+        # [H; K] x residuals over GF(2): each row XORs the residual bits of its qubits
+        qubits = np.ascontiguousarray(single.transpose(2, 0, 1))  # (n_q, rows, m)
+        odd = np.array([np.bitwise_xor.reduce(qubits[row], axis=0) for row in kernel.inner_checks])
+        reject = odd[: kernel.syndrome_rows].any(axis=0)
+        corrupt = ~reject & odd[kernel.syndrome_rows :].any(axis=0)
     return reject, outcome, corrupt
 
 

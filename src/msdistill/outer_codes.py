@@ -32,7 +32,7 @@ class OuterCode:
 
     def degree_audit(self) -> bool:
         m = self.matrix
-        rows_ok = all(m.row_weight(i) == self.check_degree for i in range(m.rows))
+        rows_ok = all(r.bit_count() == self.check_degree for r in m.row_bits)
         cols_ok = all(c.bit_count() == self.bit_degree for c in m.column_bits())
         return rows_ok and cols_ok
 

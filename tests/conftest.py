@@ -129,18 +129,40 @@ def oracle_sensitivity(
     return True, None
 
 
+def oracle_span(matrix: BinMatrix) -> set[int]:
+    """Every packed vector in the row span, by a plain loop over the rows."""
+    span = {0}
+    for row in matrix.row_bits:
+        span |= {x ^ row for x in span}
+    return span
+
+
 def oracle_min_distance(check: BinMatrix) -> int:
     """Lightest vector with zero syndrome outside the row space, by brute force over 2^n.
 
     Returns cols + 1 when every zero-syndrome vector lies in the row space.
     """
     n = check.cols
-    span = {0}
-    for row in check.row_bits:
-        span |= {x ^ row for x in span}
+    span = oracle_span(check)
     best = n + 1
     for vector in range(1, 1 << n):
         in_kernel = all((row & vector).bit_count() % 2 == 0 for row in check.row_bits)
         if in_kernel and vector not in span:
             best = min(best, vector.bit_count())
     return best
+
+
+def oracle_residual_classes(check: BinMatrix) -> list[str]:
+    """The class of every packed residual 0 .. 2^cols - 1: detected, stabilizer or logical.
+
+    A residual overlapping some check row oddly is detected. Otherwise it is a
+    stabilizer when it lies in the rows' span, else a logical.
+    """
+    span = oracle_span(check)
+    classes = []
+    for residual in range(1 << check.cols):
+        if any((row & residual).bit_count() % 2 for row in check.row_bits):
+            classes.append("detected")
+        else:
+            classes.append("stabilizer" if residual in span else "logical")
+    return classes

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msdistill.analytics import (
+    ThresholdError,
     effective_rate,
     fifteen_to_one,
     hadamard_step_counts,
@@ -81,6 +82,12 @@ class TestPredistillChain:
     def test_negative_rounds(self):
         with pytest.raises(ValueError):
             predistill_chain(-1, 0.1)
+
+    def test_input_above_threshold_diverges(self):
+        # 0.2 -> 0.28 -> 0.77 -> 15.8: the fourth round's input is not an error rate
+        predistill_chain(3, 0.2)
+        with pytest.raises(ThresholdError, match="round 4"):
+            predistill_chain(4, 0.2)
 
 
 class TestHadamardCounts:

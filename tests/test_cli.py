@@ -223,6 +223,15 @@ class TestCompare:
         assert doc["metadata"]["baseline_block_length_derived"] == 932089
         assert doc["version"] == __version__
 
+    def test_input_above_threshold_is_infeasible(self, capsys):
+        # the repeated 15->1 series diverges: its fourth round gets an input above 1
+        assert main(["compare", "--eps-in", "0.2"]) == EXIT_INFEASIBLE
+        assert "infeasible: 15->1 round 4" in capsys.readouterr().err
+
+    def test_input_outside_unit_interval_is_usage_error(self, capsys):
+        assert main(["compare", "--eps-in", "1.5"]) == EXIT_USAGE
+        assert "0 <= eps < 1" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_single_point(self, capsys):

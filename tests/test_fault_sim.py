@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerate_truncated, oracle_min_weight
+from conftest import enumerate_truncated, oracle_min_weight, oracle_residual_classes
 from msdistill.fault_sim import (
     MAX_CHUNK_FAULTS,
     FaultAssignment,
     ProtocolInstance,
     SimReport,
     _fault_positions,
+    _Kernel,
+    _verdicts,
     make_single_check_instance,
     min_undetected_weight,
     monte_carlo,
@@ -21,7 +23,7 @@ from msdistill.fault_sim import (
     single_check_order,
 )
 from msdistill.gf2 import BinMatrix
-from msdistill.inner_codes import STEANE, CssCodeParams, WeaklySelfDualCode
+from msdistill.inner_codes import RM15, STEANE, CssCodeParams, WeaklySelfDualCode
 from msdistill.outer_codes import OuterCode, build_biregular
 
 IDENTITY_OUTER = OuterCode(BinMatrix.identity(4), 1, 1)
@@ -118,6 +120,42 @@ class TestRunCheck:
         short = FaultAssignment(np.zeros(3, dtype=np.uint8), np.zeros((4, 7, 2), dtype=np.uint8))
         with pytest.raises(ValueError, match=r"\(3,\).*\(4,\)"):
             run_check(inst, 0, short)
+
+
+class TestExactResiduals:
+    """Exact mode tells detected, stabilizer and logical residuals apart."""
+
+    @pytest.mark.parametrize("code", [STEANE, RM15], ids=["steane", "rm15"])
+    def test_every_residual_matches_the_oracle(self, code):
+        # one grid row per residual: slot 0 of each of its qubits on the one check
+        inst = make_single_check_instance(code)
+        n_q = code.params.n_q
+        residuals = np.arange(1 << n_q)
+        faults = np.zeros((len(residuals), inst.fault_sites), dtype=bool)
+        faults[:, inst.num_data :: 2] = (residuals[:, None] >> np.arange(n_q)) & 1
+        reject, outcome, corrupt = _verdicts(_Kernel.build(inst, "exact"), faults)
+        classes = oracle_residual_classes(code.check)
+        assert set(classes) == {"detected", "stabilizer", "logical"}
+        assert reject[:, 0].tolist() == [c == "detected" for c in classes]
+        assert corrupt[:, 0].tolist() == [c == "logical" for c in classes]
+        assert not outcome.any()  # single-slot faults never flip the outcome
+
+    def test_inner_code_wider_than_a_machine_word(self):
+        # Steane's rows on qubits 63..69 of 70: rank 3, so k = 64 and d = 1
+        rows = tuple(row << 63 for row in STEANE.check.row_bits)
+        code = WeaklySelfDualCode(CssCodeParams(70, 64, 1), BinMatrix(3, 70, rows))
+        inst = ProtocolInstance(code, IDENTITY_OUTER, strict=False)
+        logical = [(0, 63 + q, 0) for q in (0, 1, 2)]
+        stabilizer = [(0, 63 + q, 0) for q in range(7) if (STEANE.check.row_bits[0] >> q) & 1]
+        cases = [
+            (logical, (False, True)),
+            (stabilizer, (False, False)),
+            ([(0, 66, 1)], (True, False)),
+            ([(0, 0, 0)], (False, True)),  # qubit 0 lies outside every check: a logical
+        ]
+        for slots, expected in cases:
+            verdict = run_check(inst, 0, assignment(inst, slots=slots), "exact")
+            assert (verdict.rejected, verdict.corrupted) == expected
 
 
 class TestSiteLayout:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import oracle_syndromes
+from conftest import oracle_span, oracle_syndromes
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from strategies import bin_matrices, random_matrix
@@ -13,7 +13,6 @@ from msdistill.gf2 import (
     mul2,
     rank2,
     row_space,
-    syndrome,
 )
 from msdistill.inner_codes import STEANE
 
@@ -119,34 +118,17 @@ class TestSelfOrthogonality:
         assert is_self_orthogonal(a) == brute
 
 
-class TestSyndrome:
-    def test_zero_error(self):
-        assert syndrome(STEANE_CHECK, 0) == 0
-
-    def test_single_error_reads_column(self):
-        expected = 0
-        for i in range(3):
-            expected |= STEANE_CHECK.entry(i, 0) << i
-        assert syndrome(STEANE_CHECK, 1) == expected
-
-    def test_rows_lie_in_kernel(self):
-        for row in STEANE_CHECK.row_bits:
-            assert syndrome(STEANE_CHECK, row) == 0
-
-    def test_length_guard(self):
-        with pytest.raises(ValueError):
-            syndrome(STEANE_CHECK, 1 << 7)
-
-    @given(bin_matrices(), st.integers(0), st.integers(0))
-    def test_linearity(self, a, e1, e2):
-        mask = (1 << a.cols) - 1
-        e1 &= mask
-        e2 &= mask
-        assert syndrome(a, e1 ^ e2) == syndrome(a, e1) ^ syndrome(a, e2)
-
-
-def test_row_space_size_matches_rank():
-    assert len(row_space(STEANE_CHECK)) == 2 ** rank2(STEANE_CHECK)
+@settings(max_examples=150)
+@given(bin_matrices(max_rows=8, max_cols=10))
+def test_row_space_parity_checks_decide_membership(matrix):
+    checks = row_space(matrix)
+    assert checks.cols == matrix.cols
+    assert checks.rows == matrix.cols - rank2(matrix)
+    assert rank2(checks) == checks.rows  # the rows are independent
+    span = oracle_span(matrix)
+    for v in range(1 << matrix.cols):
+        even = all((row & v).bit_count() % 2 == 0 for row in checks.row_bits)
+        assert even == (v in span)
 
 
 def unpacked(matrix, weight_max):
