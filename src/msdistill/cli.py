@@ -10,7 +10,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from . import __version__
 from .analytics import ThresholdError, overhead_exponent
@@ -581,11 +581,13 @@ COMMANDS = {command.name: command for command in (
 )}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(names: Iterable[str] = COMMANDS) -> argparse.ArgumentParser:
+    """The ``msdistill`` parser with subparsers for ``names`` only (default: every command)."""
     parser = _Parser(prog="msdistill", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="subcommand", required=True)
-    for command in COMMANDS.values():
+    for name in names:
+        command = COMMANDS[name]
         sub = subs.add_parser(command.name, help=command.help)
         for option in command.options:
             if not option.config_only:
@@ -598,7 +600,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    """Run ``argv`` (default ``sys.argv[1:]``); a named subcommand is parsed by its parser alone.
+
+    Any other first argument gets the full parser, so its help and errors list every subcommand.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS)
     try:
         args = parser.parse_args(argv)
         command = COMMANDS[args.subcommand]

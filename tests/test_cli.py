@@ -1,9 +1,13 @@
+import argparse
 import json
+import sys
 
 import pytest
 
 from msdistill import __version__
-from msdistill.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
+from msdistill.cli import (
+    COMMANDS, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, UsageError, _resolve, build_parser, main,
+)
 from msdistill.inner_codes import CssCodeParams
 from msdistill.pipeline import HadamardStep, PreDistillation, ProtocolSpec, evaluate
 
@@ -470,3 +474,114 @@ class TestPlumbing:
         out = capsys.readouterr().out
         assert any(ln.startswith("# config=") for ln in out.splitlines())
         assert any(ln.startswith(f"# version={__version__}") for ln in out.splitlines())
+
+
+def printed(capsys, parse, argv):
+    """What ``parse(argv)`` prints before it exits 0 (help or version)."""
+    with pytest.raises(SystemExit) as exit_info:
+        parse(argv)
+    assert exit_info.value.code == 0
+    return capsys.readouterr().out
+
+
+def full_parser_error(argv):
+    """The usage error from the parser holding every subparser, then from config resolution."""
+    try:
+        args = build_parser().parse_args(argv)
+        _resolve(COMMANDS[args.subcommand], {}, vars(args))
+    except UsageError as exc:
+        return str(exc)
+    raise AssertionError(f"{argv} is not a usage error")
+
+
+class TestSubcommandParser:
+    """``main`` builds only the invoked subparser; what it prints stays the full parser's."""
+
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")  # argparse wraps help to the terminal width
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_subcommand_help_matches_full_parser(self, capsys, name):
+        expected = printed(capsys, build_parser().parse_args, [name, "--help"])
+        assert expected.startswith(f"usage: msdistill {name} ")
+        assert printed(capsys, main, [name, "--help"]) == expected
+
+    def test_top_level_help_lists_every_subcommand(self, capsys):
+        out = printed(capsys, main, ["--help"])
+        assert out == printed(capsys, build_parser().parse_args, ["--help"])
+        assert all(name in out for name in COMMANDS)
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--inner", "1,2"],
+        ["simulate", "--mode", "quantum"],
+        ["search", "--format", "csv", "--rate-floor-log10", "-7"],
+        ["analyze", "--bogus", "1"],
+        ["outer-build", "--w", "3", "--s", "3"],
+        ["analyze", "--inner", "149,117,5", "--version"],
+        ["analyse", "--inner", "149,117,5"],
+        [],
+    ], ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_usage_error_matches_full_parser(self, capsys, argv):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"usage error: {full_parser_error(argv)}\n"
+        assert captured.out == ""
+
+    def test_builds_one_subparser(self, capsys, monkeypatch):
+        built = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting_add_parser(self, name, **kwargs):
+            built.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
+        assert main(["analyze", "--inner", "149,117,5"]) == EXIT_OK
+        assert built == ["analyze"]
+
+    def test_console_script_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["msdistill", "analyze", "--inner", "149,117,5"])
+        assert main() == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["subcommand"] == "analyze"
+        assert doc["config"]["inner"] == "149,117,5"
+
+        monkeypatch.setattr(sys, "argv", ["msdistill", "--version"])
+        with pytest.raises(SystemExit) as exit_info:
+            main()
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out == f"{__version__}\n"
+
+
+# One cheap run of every subcommand: its argv after the name, and its exit code.
+SMOKE = {
+    "gv-search": (["--n-min", "149", "--n-max", "151"], EXIT_OK),
+    "validate-code": (["--code", "steane"], EXIT_OK),
+    "outer-build": (["--a-n", "9", "--w", "3", "--s", "3", "--girth", "6"], EXIT_OK),
+    # no pattern violates 4 checks of a 3-regular schedule: the witness is written, then exit 2
+    "check-sensitivity": (["--matrix-file", "{schedule}", "--d-tilde", "3", "--s-req", "4"],
+                          EXIT_INFEASIBLE),
+    "analyze": (["--inner", "149,117,5", "--pre-rounds", "3"], EXIT_OK),
+    "search": (["--rate-floor-log10", "-5", "--n-max", "2000", "--pre-rounds", "0,1,2,3",
+                "--eps0", "0.05"], EXIT_OK),
+    "compare": ([], EXIT_OK),
+    "simulate": (["--trials", "2000"], EXIT_OK),
+    "table-s1": ([], EXIT_OK),
+}
+
+
+class TestEverySubcommand:
+    def test_table_covers_every_subcommand(self):
+        assert SMOKE.keys() == COMMANDS.keys()
+
+    @pytest.mark.parametrize("name", SMOKE)
+    def test_writes_standard_json(self, capsys, tmp_path, name):
+        schedule = tmp_path / "outer.txt"
+        _, doc = run_json(capsys, ["outer-build", *SMOKE["outer-build"][0]])
+        schedule.write_text(doc["results"]["code_text"])
+
+        flags, expected = SMOKE[name]
+        assert main([name, *(f.format(schedule=schedule) for f in flags)]) == expected
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        assert doc["subcommand"] == name
