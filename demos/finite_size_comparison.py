@@ -12,7 +12,7 @@ from msdistill.pipeline import HadamardStep, PreDistillation, ProtocolSpec
 def main() -> None:
     specs = []
     for rounds, (n, k, d) in [(3, (149, 117, 5)), (4, (8104, 8002, 9))]:
-        params = CssCodeParams(n, k, d, odd_distance=True)
+        params = CssCodeParams(n, k, d)
         specs.append(
             ProtocolSpec((PreDistillation(rounds), HadamardStep(params, k**d)))
         )

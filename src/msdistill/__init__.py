@@ -30,7 +30,6 @@ from .fault_sim import (
     min_undetected_weight,
     monte_carlo,
     run_check,
-    single_check_order,
 )
 from .gf2 import BinMatrix, is_self_orthogonal, mul2, rank2
 from .inner_codes import (
@@ -87,7 +86,6 @@ __all__ = [
     "rank2",
     "run_check",
     "search_best",
-    "single_check_order",
     "t_exponent",
     "validate_code",
 ]

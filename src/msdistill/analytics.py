@@ -18,27 +18,22 @@ class ThresholdError(ValueError):
 
 @dataclass(frozen=True)
 class StageReport:
-    """Evaluated input/output accounting for one distillation stage."""
+    """Input/output accounting for one distillation stage, as ``evaluate`` records it.
 
+    ``kind`` is "pre_distillation" (15->1 rounds) or "hadamard_step" (a
+    check-schedule round). ``required_input_eps`` is a check-schedule round's
+    design target (1/(A n d))^d and None for 15->1 rounds.
+    """
+
+    kind: str
     inputs_per_output: LogScalar
     eps_out: LogScalar
     success_prob: LogScalar
+    required_input_eps: LogScalar | None = None
 
     @property
     def effective_rate(self) -> LogScalar:
         return self.success_prob / self.inputs_per_output
-
-    def to_record(self) -> dict[str, float]:
-        """Flat key-value record with log10 magnitudes to 6 decimal places."""
-        out = {}
-        for key, value in [
-            ("inputs_per_output", self.inputs_per_output),
-            ("eps_out", self.eps_out),
-            ("success_prob", self.success_prob),
-            ("effective_rate", self.effective_rate),
-        ]:
-            out[f"log10_{key}"] = None if value.is_zero() else round(value.log10, 6)
-        return out
 
 
 def _as_eps(eps: LogScalar | float) -> LogScalar:
@@ -55,7 +50,8 @@ def fifteen_to_one(eps_in: LogScalar | float) -> StageReport:
         raise ValueError("eps_in must be positive")
     eps_out = LogScalar.coerce(FIFTEEN_TO_ONE_ERROR_COEFF) * eps_in**3
     success = pow_one_minus(eps_in, FIFTEEN_TO_ONE_INPUTS)
-    return StageReport(LogScalar.coerce(FIFTEEN_TO_ONE_INPUTS), eps_out, success)
+    inputs = LogScalar.coerce(FIFTEEN_TO_ONE_INPUTS)
+    return StageReport("pre_distillation", inputs, eps_out, success)
 
 
 def predistill_chain(rounds: int, eps0: LogScalar | float) -> StageReport:
@@ -74,7 +70,8 @@ def predistill_chain(rounds: int, eps0: LogScalar | float) -> StageReport:
             raise ThresholdError(f"15->1 round {index + 1}: input error must be below 1")
         success = success * pow_one_minus(eps, FIFTEEN_TO_ONE_INPUTS)
         eps = LogScalar.coerce(FIFTEEN_TO_ONE_ERROR_COEFF) * eps**3
-    return StageReport(LogScalar.coerce(FIFTEEN_TO_ONE_INPUTS) ** rounds, eps_out, success)
+    inputs = LogScalar.coerce(FIFTEEN_TO_ONE_INPUTS) ** rounds
+    return StageReport("pre_distillation", inputs, eps_out, success)
 
 
 def hadamard_step_counts(params: CssCodeParams, a_n: int, m: int) -> int:

@@ -24,8 +24,8 @@ from .inner_codes import (
 from .logdomain import LogScalar
 from .outer_codes import ConstructionError, OuterCode, build_biregular, check_sensitivity, girth
 from .pipeline import (
-    HadamardStep, PipelineReport, PreDistillation, ProtocolSpec, StageError, default_scale_rule,
-    evaluate, search_best,
+    HadamardStep, PipelineReport, PreDistillation, ProtocolSpec, SearchError, StageError,
+    default_scale_rule, evaluate, search_best,
 )
 
 EXIT_OK = 0
@@ -231,8 +231,8 @@ def _fmt_log10(value: Any) -> float | None:
 
 def _pipeline_spec(config: dict[str, Any]) -> ProtocolSpec:
     n, k, d = _nkd(config["inner"])
-    params = CssCodeParams(n, k, d, odd_distance=(d % 2 == 1))
-    scale = config["scale"] or default_scale_rule(params)
+    params = CssCodeParams(n, k, d)
+    scale = default_scale_rule(params) if config["scale"] is None else config["scale"]
     stages = (PreDistillation(config["pre_rounds"]), HadamardStep(params, scale))
     return ProtocolSpec(stages, config["eps0"])
 
@@ -305,9 +305,7 @@ def cmd_validate_code(config: dict[str, Any]) -> Output:
             raise UsageError("--matrix-file needs --n, --k and --d")
         with open(config["matrix_file"], "r", encoding="utf-8") as fh:
             matrix = BinMatrix.from_text(fh.read())
-        params = CssCodeParams(
-            config["n"], config["k"], config["d"], odd_distance=(config["d"] % 2 == 1)
-        )
+        params = CssCodeParams(config["n"], config["k"], config["d"])
         code = WeaklySelfDualCode(params, matrix)
     else:
         raise UsageError("provide --code NAME or --matrix-file PATH")
@@ -375,16 +373,13 @@ def cmd_analyze(config: dict[str, Any]) -> Output:
 
 def cmd_search(config: dict[str, Any]) -> Output:
     candidates = distance_family(config["n_max"])
-    try:
-        spec = search_best(
-            LogScalar.from_log10(config["rate_floor_log10"]),
-            candidates,
-            config["pre_rounds"],
-            eps0=config["eps0"],
-            success_eps=config["success_eps"],
-        )
-    except ValueError as exc:
-        raise InfeasibleError(str(exc)) from exc
+    spec = search_best(
+        LogScalar.from_log10(config["rate_floor_log10"]),
+        candidates,
+        config["pre_rounds"],
+        eps0=config["eps0"],
+        success_eps=config["success_eps"],
+    )
     report = evaluate(spec, success_eps=config["success_eps"])
     inner = next(s.params for s in spec.stages if isinstance(s, HadamardStep))
     results = {
@@ -619,7 +614,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InfeasibleError, StageError, ThresholdError) as exc:
+    except (InfeasibleError, SearchError, StageError, ThresholdError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (OSError, KeyError, ValueError) as exc:

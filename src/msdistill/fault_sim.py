@@ -364,20 +364,6 @@ def make_single_check_instance(
     return ProtocolInstance(inner, outer, strict=False)
 
 
-def single_check_order(
-    inner: WeaklySelfDualCode,
-    eps: float,
-    trials: int,
-    seed: int,
-    *,
-    data_count: int = 4,
-    **kwargs: object,
-) -> SimReport:
-    """Monte Carlo for the unprotected single-check baseline (quadratic error floor)."""
-    instance = make_single_check_instance(inner, data_count)
-    return monte_carlo(instance, eps, trials, seed, **kwargs)  # type: ignore[arg-type]
-
-
 @dataclass(frozen=True)
 class SlopeFit:
     """Weighted least-squares fit of log eps_out against log eps."""

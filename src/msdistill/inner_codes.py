@@ -11,20 +11,21 @@ EXHAUSTIVE_DISTANCE_LIMIT = 20
 
 @dataclass(frozen=True)
 class CssCodeParams:
-    """[[n, k, d]] parameters of the inner quantum code."""
+    """[[n, k, d]] parameters of the inner quantum code.
+
+    Any d >= 1 is accepted: ``pipeline.HadamardStep`` and
+    ``outer_codes.outer_size_for`` refuse an even d where a stage needs an odd one.
+    """
 
     n_q: int
     k_q: int
     d_q: int
-    odd_distance: bool = False
 
     def __post_init__(self) -> None:
         if not (1 <= self.k_q < self.n_q):
             raise ValueError(f"need 1 <= k < n, got [[{self.n_q},{self.k_q},{self.d_q}]]")
         if self.d_q < 1:
             raise ValueError("distance must be >= 1")
-        if self.odd_distance and self.d_q % 2 == 0:
-            raise ValueError("odd-distance tag on an even distance")
 
     def __str__(self) -> str:
         return f"[[{self.n_q},{self.k_q},{self.d_q}]]"
@@ -78,14 +79,15 @@ def gv_params(
     k = math.floor(n_q * (1.0 - factor * h))
     if k <= 0:
         raise ValueError(f"parameters give k={k} <= 0")
-    return CssCodeParams(n_q, k, d, odd_distance=(d % 2 == 1))
+    return CssCodeParams(n_q, k, d)
 
 
-def distance_family(n_max: int, *, entropy_variant: str = "single") -> list[CssCodeParams]:
+def distance_family(n_max: int) -> list[CssCodeParams]:
     """Smallest n per odd distance under the ln rule, for n <= n_max.
 
     This is the candidate family the finite-size search sweeps: for each odd d
-    the cheapest code is the first n with floor(ln n) = d.
+    the cheapest code is the first n with floor(ln n) = d, with the GV
+    parameters of :func:`gv_params`' default (single-entropy) variant.
     """
     out = []
     d = 3
@@ -95,7 +97,7 @@ def distance_family(n_max: int, *, entropy_variant: str = "single") -> list[CssC
             n += 1
         if n > n_max:
             break
-        out.append(gv_params(n, d, entropy_variant=entropy_variant))
+        out.append(gv_params(n, d))
         d += 2
     return out
 
@@ -175,12 +177,8 @@ _FIFTEEN_TEXT = """
 110100100000000
 """
 
-STEANE = WeaklySelfDualCode(
-    CssCodeParams(7, 1, 3, odd_distance=True), BinMatrix.from_text(_STEANE_TEXT)
-)
-RM15 = WeaklySelfDualCode(
-    CssCodeParams(15, 1, 3, odd_distance=True), BinMatrix.from_text(_FIFTEEN_TEXT)
-)
+STEANE = WeaklySelfDualCode(CssCodeParams(7, 1, 3), BinMatrix.from_text(_STEANE_TEXT))
+RM15 = WeaklySelfDualCode(CssCodeParams(15, 1, 3), BinMatrix.from_text(_FIFTEEN_TEXT))
 
 CODE_LIBRARY: dict[str, WeaklySelfDualCode] = {
     "steane": STEANE,

@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .analytics import (
+    StageReport,
+    ThresholdError,
     hadamard_step_counts,
     output_error_bound,
     predistill_chain,
@@ -59,25 +61,12 @@ class ProtocolSpec:
 
 
 @dataclass(frozen=True)
-class StageDetail:
-    """Per-stage evaluation record, including paper-comparison metadata."""
-
-    kind: str
-    inputs_per_output: LogScalar
-    eps_out: LogScalar
-    success_prob: LogScalar
-    achieved_input_eps: LogScalar | None = None
-    required_input_eps: LogScalar | None = None
-    n_prime: LogScalar | None = None
-
-
-@dataclass(frozen=True)
 class PipelineReport:
     label: tuple[int, int]
     eps_trajectory: tuple[LogScalar, ...]
     total_inputs_per_output: LogScalar
     success_prob: LogScalar
-    stage_details: tuple[StageDetail, ...] = field(repr=False, default=())
+    stage_details: tuple[StageReport, ...] = field(repr=False, default=())
 
     @property
     def eps_out(self) -> LogScalar:
@@ -101,8 +90,16 @@ class StageError(ValueError):
         self.index = index
 
 
+class SearchError(ValueError):
+    """search_best has nothing to return: an empty search space, or no spec above the floor."""
+
+
 def evaluate(spec: ProtocolSpec, *, success_eps: str = "required") -> PipelineReport:
     """Thread the error rate through the stages and aggregate cost and success.
+
+    Each stage is recorded as the :class:`StageReport` of its formula. An eps0
+    outside [0, 1) is a plain ValueError; a stage whose input error has
+    reached 1 (the chain started above threshold) is a StageError.
 
     ``success_eps`` selects which intermediate error enters a check-schedule
     stage's success probability and output bound: "required" (the design
@@ -115,55 +112,46 @@ def evaluate(spec: ProtocolSpec, *, success_eps: str = "required") -> PipelineRe
         raise ValueError("protocol must have at least one stage")
     if success_eps not in ("required", "achieved"):
         raise ValueError(f"unknown success_eps convention {success_eps!r}")
-
     eps = LogScalar.coerce(spec.eps0)
+    if eps.sign < 0 or not eps < ONE:
+        raise ValueError("eps0 must satisfy 0 <= eps0 < 1")
+
     trajectory = [eps]
     total_inputs = ONE
     total_success = ONE
-    details: list[StageDetail] = []
+    reports: list[StageReport] = []
 
     for index, stage in enumerate(spec.stages):
+        if not eps < ONE:
+            raise StageError(index, "input error must be below 1")
         if isinstance(stage, PreDistillation):
             try:
                 report = predistill_chain(stage.rounds, eps)
-            except ValueError as exc:
+            except ThresholdError as exc:
                 raise StageError(index, str(exc)) from exc
-            detail = StageDetail(
-                "pre_distillation",
-                report.inputs_per_output,
-                report.eps_out,
-                report.success_prob,
-            )
-            eps = report.eps_out
         elif isinstance(stage, HadamardStep):
-            if not eps < ONE:
-                raise StageError(index, "input error must be below 1")
             a_n, m = outer_size_for(stage.params, stage.scale)
             n_prime = hadamard_step_counts(stage.params, a_n, m)
             required = required_intermediate_error(stage.params, stage.scale)
             eps_used = required if success_eps == "required" else eps
-            bound = output_error_bound(n_prime, stage.params.d_q, eps_used)
-            success = pow_one_minus(eps_used, n_prime)
-            detail = StageDetail(
+            report = StageReport(
                 "hadamard_step",
                 LogScalar.coerce(n_prime) / LogScalar.coerce(a_n),
-                bound,
-                success,
-                achieved_input_eps=eps,
-                required_input_eps=required,
-                n_prime=LogScalar.coerce(n_prime),
+                output_error_bound(n_prime, stage.params.d_q, eps_used),
+                pow_one_minus(eps_used, n_prime),
+                required,
             )
-            eps = bound
         else:  # pragma: no cover - dataclass union is closed
             raise StageError(index, f"unknown stage type {type(stage).__name__}")
 
-        details.append(detail)
+        eps = report.eps_out
+        reports.append(report)
         trajectory.append(eps)
-        total_inputs = total_inputs * detail.inputs_per_output
-        total_success = total_success * detail.success_prob
+        total_inputs = total_inputs * report.inputs_per_output
+        total_success = total_success * report.success_prob
 
     return PipelineReport(
-        spec.label, tuple(trajectory), total_inputs, total_success, tuple(details)
+        spec.label, tuple(trajectory), total_inputs, total_success, tuple(reports)
     )
 
 
@@ -177,20 +165,20 @@ def search_best(
     inner_candidates: Sequence[CssCodeParams],
     pre_rounds: Iterable[int],
     *,
-    scale_rule: Callable[[CssCodeParams], int] = default_scale_rule,
     eps0: float = DEFAULT_INPUT_ERROR,
     success_eps: str = "required",
 ) -> ProtocolSpec:
     """Smallest output-error spec whose effective rate stays above the floor.
 
-    Candidates are all (inner code, p) pairs with one check-schedule round
-    after p rounds of 15->1. Ties break deterministically toward smaller n_q,
-    then smaller p, independent of enumeration order.
+    Candidates are all (inner code, p) pairs with one check-schedule round at
+    the default scale A = k^d after p rounds of 15->1. Ties break
+    deterministically toward smaller n_q, then smaller p, independent of
+    enumeration order. Raises SearchError when no candidate is left.
     """
     rate_floor = LogScalar.coerce(rate_floor)
     pre_rounds = sorted(set(pre_rounds))
     if not inner_candidates or not pre_rounds:
-        raise ValueError("empty search space")
+        raise SearchError("empty search space")
 
     best_key: tuple[float, int, int] | None = None
     best_spec: ProtocolSpec | None = None
@@ -198,7 +186,7 @@ def search_best(
         for p in pre_rounds:
             stages: tuple[Stage, ...] = (
                 PreDistillation(p),
-                HadamardStep(params, scale_rule(params)),
+                HadamardStep(params, default_scale_rule(params)),
             )
             spec = ProtocolSpec(stages, eps0)
             report = evaluate(spec, success_eps=success_eps)
@@ -210,5 +198,5 @@ def search_best(
                 best_key = key
                 best_spec = spec
     if best_spec is None:
-        raise ValueError("no candidate satisfies the rate floor")
+        raise SearchError("no candidate satisfies the rate floor")
     return best_spec

@@ -71,7 +71,7 @@ def test_acceptance_04_finite_size_rates():
         ("(4;1)", (8104, 8002, 9), 4, 2.5e-7, 1.1),
         ("(3;1)", (149, 117, 5), 3, 6.6e-6, 1.3),
     ]:
-        params = CssCodeParams(n, k, d, odd_distance=True)
+        params = CssCodeParams(n, k, d)
         spec = ProtocolSpec((PreDistillation(p), HadamardStep(params, k**d)))
         report = evaluate(spec)
         rate = 10.0**report.effective_rate.log10
@@ -134,7 +134,7 @@ def test_acceptance_07_minimum_weight_oracle():
         rows = tuple(rng.randint(0, (1 << a_n) - 1) for _ in range(m))
         outer = OuterCode(BinMatrix(m, a_n, rows), 0, 0)
         inner = WeaklySelfDualCode(
-            CssCodeParams(7, 1, rng.choice([3, 5]), odd_distance=True), STEANE.check
+            CssCodeParams(7, 1, rng.choice([3, 5])), STEANE.check
         )
         instance = ProtocolInstance(inner, outer, strict=False)
         assert min_undetected_weight(instance, 6) == oracle_min_weight(instance, 6)

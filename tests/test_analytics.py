@@ -42,16 +42,6 @@ class TestFifteenToOne:
         with pytest.raises(ValueError):
             fifteen_to_one(0.0)
 
-    def test_record_format(self):
-        record = fifteen_to_one(0.1).to_record()
-        assert record["log10_inputs_per_output"] == pytest.approx(math.log10(15), abs=1e-6)
-        assert set(record) == {
-            "log10_inputs_per_output",
-            "log10_eps_out",
-            "log10_success_prob",
-            "log10_effective_rate",
-        }
-
 
 class TestPredistillChain:
     def test_three_rounds(self):

@@ -150,7 +150,7 @@ class TestAnalyze:
             capsys, ["analyze", "--inner", "149,117,5", "--pre-rounds", "3"]
         )
         assert code == EXIT_OK
-        params = CssCodeParams(149, 117, 5, odd_distance=True)
+        params = CssCodeParams(149, 117, 5)
         spec = ProtocolSpec((PreDistillation(3), HadamardStep(params, 117**5)))
         report = evaluate(spec)
         assert doc["results"]["log10_rate"] == round(report.effective_rate.log10, 6)
@@ -164,6 +164,21 @@ class TestAnalyze:
         code = main(["analyze", "--inner", "149,117,5", "--pre-rounds", "3", "--eps0", "0.2"])
         assert code == EXIT_INFEASIBLE
         assert "infeasible: stage 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", ["0", "-1"])
+    def test_scale_below_one_is_usage_error(self, capsys, scale):
+        argv = ["analyze", "--inner", "149,117,5", "--pre-rounds", "3", "--scale", scale]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "scale factor must be >= 1" in captured.err
+
+    def test_zero_scale_in_compare_spec_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        entry = {"inner": [149, 117, 5], "pre_rounds": 3, "scale": 0}
+        cfg.write_text(json.dumps({"specs": [entry]}))
+        assert main(["compare", "--config", str(cfg)]) == EXIT_USAGE
+        assert "scale factor must be >= 1" in capsys.readouterr().err
 
     def test_no_negative_zero(self, capsys):
         assert main(["analyze", "--inner", "149,117,5", "--pre-rounds", "3"]) == EXIT_OK
@@ -235,6 +250,32 @@ class TestCompare:
     def test_input_outside_unit_interval_is_usage_error(self, capsys):
         assert main(["compare", "--eps-in", "1.5"]) == EXIT_USAGE
         assert "0 <= eps < 1" in capsys.readouterr().err
+
+
+# The protocol subcommands, each up to the flag that sets its raw input error.
+INPUT_ERROR_ARGVS = {
+    "analyze": ["analyze", "--inner", "149,117,5", "--pre-rounds", "3", "--eps0"],
+    "table-s1": ["table-s1", "--eps0"],
+    "search": ["search", "--rate-floor-log10", "-7", "--eps0"],
+    "compare": ["compare", "--eps-in"],
+}
+
+
+class TestInputErrorRange:
+    """An input error outside [0, 1) is a usage error; one above threshold is infeasible."""
+
+    @pytest.mark.parametrize("value", ["1.5", "-0.1"])
+    @pytest.mark.parametrize("name", sorted(INPUT_ERROR_ARGVS))
+    def test_outside_unit_interval_is_usage_error(self, capsys, name, value):
+        assert main(INPUT_ERROR_ARGVS[name] + [value]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must satisfy 0 <= eps" in captured.err
+
+    @pytest.mark.parametrize("name", sorted(INPUT_ERROR_ARGVS))
+    def test_above_threshold_is_infeasible(self, capsys, name):
+        assert main(INPUT_ERROR_ARGVS[name] + ["0.2"]) == EXIT_INFEASIBLE
+        assert "input error must be below 1" in capsys.readouterr().err
 
 
 class TestSimulate:

@@ -128,7 +128,7 @@ class TestRate:
 
 class TestFigure2Dataset:
     def _specs(self):
-        code = CssCodeParams(149, 117, 5, odd_distance=True)
+        code = CssCodeParams(149, 117, 5)
         return [
             ProtocolSpec((PreDistillation(3), HadamardStep(code, 117**5)))
         ]

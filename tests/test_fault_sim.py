@@ -20,7 +20,6 @@ from msdistill.fault_sim import (
     min_undetected_weight,
     monte_carlo,
     run_check,
-    single_check_order,
 )
 from msdistill.gf2 import BinMatrix
 from msdistill.inner_codes import RM15, STEANE, CssCodeParams, WeaklySelfDualCode
@@ -381,7 +380,7 @@ class TestMonteCarlo:
 
 class TestSingleCheck:
     def test_zero_eps(self):
-        report = single_check_order(STEANE, 0.0, 10_000, seed=0)
+        report = monte_carlo(make_single_check_instance(STEANE), 0.0, 10_000, seed=0)
         assert report.eps_out_total[0] == 0.0
 
     def test_quadratic_coefficient_matches_enumeration(self):
@@ -391,7 +390,7 @@ class TestSingleCheck:
         oracle = p_err / p_acc
         # leading behavior ~ n_q * eps^2 within 20%
         assert oracle / (7 * eps**2) == pytest.approx(1.0, abs=0.2)
-        report = single_check_order(STEANE, eps, 3_000_000, seed=4)
+        report = monte_carlo(inst, eps, 3_000_000, seed=4)
         _, ci_low, ci_high = report.eps_out_total
         assert ci_low - tail <= oracle <= ci_high + tail
 
@@ -419,7 +418,7 @@ class TestMinUndetectedWeight:
     def test_d5_instance_matches_arithmetic_oracle(self):
         # distance-5 synthetic inner; idealized mode never reads the matrix
         inner = WeaklySelfDualCode(
-            CssCodeParams(17, 1, 5, odd_distance=True), BinMatrix.zeros(8, 17)
+            CssCodeParams(17, 1, 5), BinMatrix.zeros(8, 17)
         )
         outer = build_biregular(6, 2, 2, 4, seed=3)
         inst = ProtocolInstance(inner, outer, strict=False)
@@ -434,7 +433,7 @@ class TestMinUndetectedWeight:
             outer = OuterCode(BinMatrix(m, a_n, rows), 0, 0)
             d = rng.choice([3, 5])
             inner = WeaklySelfDualCode(
-                CssCodeParams(7, 1, d, odd_distance=True), STEANE.check
+                CssCodeParams(7, 1, d), STEANE.check
             )
             inst = ProtocolInstance(inner, outer, strict=False)
             assert min_undetected_weight(inst, 6) == oracle_min_weight(inst, 6)

@@ -74,15 +74,13 @@ class TestBinaryEntropy:
 
 class TestGvParams:
     def test_headline_code(self):
-        assert gv_params(8104) == CssCodeParams(8104, 8002, 9, odd_distance=True)
+        assert gv_params(8104) == CssCodeParams(8104, 8002, 9)
 
     def test_small_code_explicit_distance(self):
-        assert gv_params(149, 5) == CssCodeParams(149, 117, 5, odd_distance=True)
+        assert gv_params(149, 5) == CssCodeParams(149, 117, 5)
 
     def test_double_entropy_variant(self):
-        assert gv_params(8104, entropy_variant="double") == CssCodeParams(
-            8104, 7901, 9, odd_distance=True
-        )
+        assert gv_params(8104, entropy_variant="double") == CssCodeParams(8104, 7901, 9)
 
     def test_distance_rule_is_natural_log(self):
         # base-2 logs would give d=11 here; only ln reproduces d=9
@@ -117,8 +115,8 @@ class TestGvParams:
 class TestDistanceFamily:
     def test_contains_headline_codes(self):
         family = distance_family(10**4)
-        assert CssCodeParams(149, 117, 5, odd_distance=True) in family
-        assert CssCodeParams(8104, 8002, 9, odd_distance=True) in family
+        assert CssCodeParams(149, 117, 5) in family
+        assert CssCodeParams(8104, 8002, 9) in family
 
     def test_each_member_is_smallest_for_its_distance(self):
         for params in distance_family(10**4):
@@ -191,5 +189,3 @@ class TestCodeLibrary:
     def test_params_guards(self):
         with pytest.raises(ValueError):
             CssCodeParams(7, 7, 3)
-        with pytest.raises(ValueError):
-            CssCodeParams(7, 1, 4, odd_distance=True)

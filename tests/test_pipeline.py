@@ -14,8 +14,8 @@ from msdistill.pipeline import (
     search_best,
 )
 
-BIG_CODE = CssCodeParams(8104, 8002, 9, odd_distance=True)
-SMALL_CODE = CssCodeParams(149, 117, 5, odd_distance=True)
+BIG_CODE = CssCodeParams(8104, 8002, 9)
+SMALL_CODE = CssCodeParams(149, 117, 5)
 
 
 def spec_for(code: CssCodeParams, pre_rounds: int) -> ProtocolSpec:
