@@ -5,18 +5,19 @@ physical qubit in every check. A check rejects on a detectable residual, flips
 its outcome when a qubit has both slots faulty, and is corrupted by a logical
 residual: weight >= d (idealized mode) or outside the row space (exact mode).
 
-One vectorized verdict decides every check: ``run_check`` is that kernel on
-one row, and ``min_undetected_weight`` calls it on a batch. The Monte Carlo
-sampler draws only the faulty sites: the gaps between faults are geometric,
-so its cost scales with trials x sites x eps, and only trials holding a fault
-reach the verdict. A fault-free trial is accepted and not erroneous.
+One vectorized verdict decides every check from a fault list of (trial,
+site) pairs: ``run_check`` passes one trial's faults, ``min_undetected_weight``
+a batch of candidates. The Monte Carlo sampler draws only the faulty sites
+(the gaps between faults are geometric), so its cost, memory included,
+scales with trials x sites x eps and no trial x site grid is built. A
+fault-free trial is accepted and not erroneous.
 """
 from __future__ import annotations
 
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Iterator
 
@@ -72,10 +73,6 @@ class FaultAssignment:
     data: np.ndarray  # (a_n,) 0/1
     slots: np.ndarray  # (m, n_q, 2) 0/1
 
-    @property
-    def weight(self) -> int:
-        return int(self.data.sum()) + int(self.slots.sum())
-
 
 @dataclass(frozen=True)
 class CheckVerdict:
@@ -85,14 +82,11 @@ class CheckVerdict:
 
 
 def run_check(
-    instance: ProtocolInstance,
-    check_index: int,
-    faults: FaultAssignment,
-    mode: str = "idealized",
+    instance: ProtocolInstance, check_index: int, faults: FaultAssignment, mode: str = "idealized"
 ) -> CheckVerdict:
     """Evaluate one check of the schedule against a fault assignment.
 
-    This is the Monte Carlo kernel's verdict on a grid of one row. Idealized
+    This is the Monte Carlo verdict on one trial's fault list. Idealized
     mode uses only the inner distance: a residual of weight 1..d-1 rejects,
     weight >= d is a logical-corruption event. Exact mode computes the
     residual's syndrome against the inner check matrix. A rejected check
@@ -104,11 +98,11 @@ def run_check(
             f"fault shapes data {faults.data.shape}, slots {faults.slots.shape} do not "
             f"match the instance's data {shapes[0]}, slots {shapes[1]}"
         )
-    row = np.concatenate((faults.data, faults.slots.reshape(-1))).astype(bool)
-    reject, outcome, corrupt = _verdicts(_Kernel.build(instance, mode), row[None, :])
-    if reject[0, check_index]:
+    site = np.flatnonzero(np.concatenate((faults.data, faults.slots.reshape(-1))))
+    rejected, flipped, corrupt = _verdicts(_Kernel.build(instance, mode), np.zeros_like(site), site)
+    if check_index in rejected:
         return CheckVerdict(True, 0, False)
-    return CheckVerdict(False, int(outcome[0, check_index]), bool(corrupt[0, check_index]))
+    return CheckVerdict(False, int(check_index in flipped), bool(check_index in corrupt))
 
 
 def _wilson_interval(successes: int, total: int) -> tuple[float | None, float, float]:
@@ -148,14 +142,7 @@ class SimReport:
         point, lo, hi = self.eps_out_total
         a_point, a_lo, a_hi = self.accept_prob
         return {
-            "trials": self.trials,
-            "accepted": self.accepted,
-            "erroneous_accepted": self.erroneous_accepted,
-            "data_flips_accepted": self.data_flips_accepted,
-            "eps": self.eps,
-            "seed": self.seed,
-            "mode": self.mode,
-            "corruption": self.corruption,
+            **asdict(self),
             "eps_out_total": point,
             "eps_out_ci": [lo, hi],
             "accept_prob": a_point,
@@ -163,27 +150,48 @@ class SimReport:
         }
 
 
+def _csr(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pointers, indices): row i's nonzero columns are indices[pointers[i] : pointers[i + 1]]."""
+    rows, cols = np.nonzero(matrix)
+    return np.searchsorted(rows, np.arange(len(matrix) + 1)), cols
+
+
+def _expand(csr: tuple[np.ndarray, np.ndarray], items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, index) for every CSR index of every item; owner is the item's position."""
+    pointers, indices = csr
+    starts, counts = pointers[items], pointers[items + 1] - pointers[items]
+    owner = np.repeat(np.arange(len(items)), counts)
+    offset = np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+    return owner, indices[starts[owner] + offset]
+
+
 @dataclass(frozen=True)
 class _Kernel:
     """Precomputed arrays shared by every verdict on one instance in one mode.
 
-    Exact mode holds the inner checks H over the row space's parity checks K.
+    The outer matrix is held by columns: the checks each data state enters.
+    Exact mode holds, for each inner qubit, the rows of [H; K] that contain
+    it, where H is the inner check matrix and K the row space's parity checks.
     """
 
-    outer: np.ndarray  # (m, a_n) uint8
+    num_data: int
+    num_checks: int
     params: CssCodeParams
-    inner_checks: tuple[np.ndarray, ...] | None  # qubits of each row of [H; K], exact mode only
-    syndrome_rows: int  # rows(H): the leading rows of inner_checks
+    data_checks: tuple[np.ndarray, np.ndarray]  # CSR over data states of the outer matrix
+    qubit_rows: tuple[np.ndarray, np.ndarray] | None  # CSR over qubits of [H; K], exact mode only
+    syndrome_rows: int  # rows(H): the leading rows of [H; K]
+    inner_rows: int  # rows([H; K])
 
     @classmethod
     def build(cls, instance: ProtocolInstance, mode: str) -> "_Kernel":
         outer, params = instance.outer.matrix.to_array(), instance.inner.params
+        common = (instance.num_data, instance.num_checks, params, _csr(outer.T))
         if mode == "idealized":
-            return cls(outer, params, None, 0)
+            return cls(*common, None, 0, 0)
         if mode == "exact":
             check = instance.inner.check
             stacked = np.vstack((check.to_array(), row_space(check).to_array()))
-            return cls(outer, params, tuple(map(np.flatnonzero, stacked)), check.rows)
+            return cls(*common, _csr(stacked.T), check.rows, len(stacked))
         raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -225,81 +233,85 @@ def _fault_positions(
             yield positions[:cut]
 
 
-def _verdicts(kernel: _Kernel, faults: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-check (reject, outcome, corrupt), each of shape (rows, m), over a fault grid.
+def _verdicts(
+    kernel: _Kernel, trial: np.ndarray, site: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (rejected, flipped, corrupt) checks of a fault list, as keys trial * m + check.
 
-    A grid row holds one trial's sites: the a_n data states, then the slots in
-    (m, n_q, 2) order. A rejected check is never corrupt; its outcome means
-    nothing.
+    Entry i of the list says that site ``site[i]`` of trial ``trial[i]`` is
+    faulty. A trial's sites are the a_n data states, then the slots in
+    (m, n_q, 2) order. The list is sorted by (trial, site) without repeats.
+
+    A check's outcome flips when its data faults and its doubles (both slots
+    of one qubit) are odd in number. Its singles form the residual, which
+    rejects at weight 1..d-1 (idealized) or with a nonzero syndrome (exact),
+    and corrupts at weight >= d or as a logical. The keys come sorted and
+    unique. A rejected check is never corrupt; whether it flipped means nothing.
     """
-    m, a_n = kernel.outer.shape
-    n_q, d = kernel.params.n_q, kernel.params.d_q
+    m, a_n, n_q = kernel.num_checks, kernel.num_data, kernel.params.n_q
+    data = site < a_n
+    owner, check = _expand(kernel.data_checks, site[data])
+    data_flips = trial[data][owner] * m + check
 
-    data = faults[:, :a_n]
-    slots = faults[:, a_n:].reshape(len(faults), m, n_q, 2)
-    single = slots[..., 0] ^ slots[..., 1]
-    doubles = slots[..., 0] & slots[..., 1]
-    double_parity = doubles.sum(axis=2, dtype=np.int64) & 1
-    data_parity = (data.astype(np.uint8) @ kernel.outer.T.astype(np.int64)) & 1
-    outcome = data_parity ^ double_parity
+    # (trial, check, qubit) of each slot fault, sorted: the two slots of a qubit are adjacent
+    slot = trial[~data] * (m * n_q) + (site[~data] - a_n) // 2
+    double = np.flatnonzero(slot[1:] == slot[:-1])  # faults i and i + 1 form a double
+    single = np.delete(slot, np.concatenate((double, double + 1)))
+    keys, counts = np.unique(np.concatenate((data_flips, slot[double] // n_q)), return_counts=True)
+    flipped = keys[counts % 2 == 1]
 
-    if kernel.inner_checks is None:
-        residual = single.sum(axis=2, dtype=np.int64)
-        reject = (residual >= 1) & (residual <= d - 1)
-        corrupt = residual >= d
-    else:
-        # [H; K] x residuals over GF(2): each row XORs the residual bits of its qubits
-        qubits = np.ascontiguousarray(single.transpose(2, 0, 1))  # (n_q, rows, m)
-        odd = np.array([np.bitwise_xor.reduce(qubits[row], axis=0) for row in kernel.inner_checks])
-        reject = odd[: kernel.syndrome_rows].any(axis=0)
-        corrupt = ~reject & odd[kernel.syndrome_rows :].any(axis=0)
-    return reject, outcome, corrupt
+    if kernel.qubit_rows is None:
+        keys, weight = np.unique(single // n_q, return_counts=True)
+        return keys[weight < kernel.params.d_q], flipped, keys[weight >= kernel.params.d_q]
+    # parity of each row of [H; K] over each check's singles
+    owner, row = _expand(kernel.qubit_rows, single % n_q)
+    keys, counts = np.unique(single[owner] // n_q * kernel.inner_rows + row, return_counts=True)
+    check, row = np.divmod(keys[counts % 2 == 1], kernel.inner_rows)
+    rejected = np.unique(check[row < kernel.syndrome_rows])
+    return rejected, flipped, np.setdiff1d(check[row >= kernel.syndrome_rows], rejected)
 
 
-def _tally(kernel: _Kernel, faults: np.ndarray, corruption: str) -> tuple[int, int, int]:
-    """(accepted, erroneous_accepted, data_flips_accepted) over rows of a fault grid."""
-    reject, outcome, corrupt = _verdicts(kernel, faults)
-    data = faults[:, : kernel.outer.shape[1]]
-    accept = ~reject.any(axis=1) & ~outcome.any(axis=1)
-    corrupt = corrupt.any(axis=1)
+def _tally(
+    kernel: _Kernel, trial: np.ndarray, site: np.ndarray, rows: int, corruption: str
+) -> tuple[int, int, int]:
+    """(accepted, erroneous_accepted, data_flips_accepted) over trials 0..rows-1 of a fault list."""
+    m = kernel.num_checks
+    rejected, flipped, corrupt = _verdicts(kernel, trial, site)
+    accept = np.bincount(np.concatenate((rejected, flipped)) // m, minlength=rows) == 0
+    corrupted = np.bincount(corrupt // m, minlength=rows) > 0
+    data = np.bincount(trial[site < kernel.num_data], minlength=rows)
     if corruption == "reject":
-        accept &= ~corrupt
-        erroneous = accept & data.any(axis=1)
+        accept &= ~corrupted
+        erroneous = accept & (data > 0)
     else:  # "erroneous": corrupted trials stay in, counted as output errors
-        erroneous = accept & (data.any(axis=1) | corrupt)
-
-    flips = int(data.sum(axis=1, dtype=np.int64)[accept].sum())
-    return int(accept.sum()), int(erroneous.sum()), flips
+        erroneous = accept & ((data > 0) | corrupted)
+    return int(accept.sum()), int(erroneous.sum()), int(data[accept].sum())
 
 
 def _simulate_block(
-    kernel: _Kernel,
-    eps: float,
-    seed: int,
-    block_index: int,
-    block_size: int,
-    corruption: str,
+    kernel: _Kernel, eps: float, seed: int, block_index: int, block_size: int, corruption: str
 ) -> tuple[int, int, int]:
     """Returns (accepted, erroneous_accepted, data_flips_accepted) for one block.
 
-    Only the trials that hold a fault reach the verdict; a fault-free trial is
-    accepted and not erroneous in both modes and under both conventions.
+    Each chunk of drawn faults becomes a fault list over the trials it
+    touches, renumbered in order, and only those trials are decided; a
+    fault-free trial is accepted and not erroneous in both modes and under
+    both conventions.
     """
-    m, a_n = kernel.outer.shape
-    n_sites = hadamard_step_counts(kernel.params, a_n, m)
+    n_sites = hadamard_step_counts(kernel.params, kernel.num_data, kernel.num_checks)
 
     key = ((seed & ((1 << 64) - 1)) << 64) | (block_index & ((1 << 64) - 1))
     rng = np.random.Generator(np.random.Philox(key=key))
 
     accepted, erroneous, flips = block_size, 0, 0
     for positions in _fault_positions(rng, eps, block_size, n_sites):
-        # one grid row per touched trial, in trial order
         trial, site = np.divmod(positions, n_sites)
-        touched, row = np.unique(trial, return_inverse=True)
-        faults = np.zeros((len(touched), n_sites), dtype=bool)
-        faults[row, site] = True
-        acc, err, flip = _tally(kernel, faults, corruption)
-        accepted += acc - len(faults)
+        # renumber the touched trials 0, 1, ... in order: the positions are sorted
+        row = np.zeros(len(trial), dtype=np.int64)
+        np.cumsum(trial[1:] != trial[:-1], out=row[1:])
+        touched = int(row[-1]) + 1
+        acc, err, flip = _tally(kernel, row, site, touched, corruption)
+        accepted += acc - touched
         erroneous += err
         flips += flip
     return accepted, erroneous, flips
@@ -349,15 +361,11 @@ def monte_carlo(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(job, range(n_blocks)))
 
-    accepted = sum(r[0] for r in results)
-    erroneous = sum(r[1] for r in results)
-    flips = sum(r[2] for r in results)
+    accepted, erroneous, flips = map(sum, zip(*results))
     return SimReport(trials, accepted, erroneous, flips, eps, seed, mode, corruption)
 
 
-def make_single_check_instance(
-    inner: WeaklySelfDualCode, data_count: int = 4
-) -> ProtocolInstance:
+def make_single_check_instance(inner: WeaklySelfDualCode, data_count: int = 4) -> ProtocolInstance:
     """One all-ones check over ``data_count`` states, with no outer protection."""
     row = (1 << data_count) - 1
     outer = OuterCode(BinMatrix(1, data_count, (row,)), data_count, 1)
@@ -374,11 +382,7 @@ class SlopeFit:
 
 
 def fit_error_order(
-    instance: ProtocolInstance,
-    eps_values: list[float],
-    trials: int,
-    seed: int,
-    **kwargs: object,
+    instance: ProtocolInstance, eps_values: list[float], trials: int, seed: int, **kwargs: object
 ) -> SlopeFit:
     """Estimate the error-suppression order from a Monte Carlo sweep.
 
@@ -399,9 +403,7 @@ def fit_error_order(
     return SlopeFit(float(slope), float(intercept), tuple(points))
 
 
-def min_undetected_weight(
-    instance: ProtocolInstance, weight_max: int
-) -> int | None:
+def min_undetected_weight(instance: ProtocolInstance, weight_max: int) -> int | None:
     """Lightest accepted fault pattern leaving a data error, or None if > weight_max.
 
     Enumerates data patterns by ascending weight; each one that could still
@@ -415,7 +417,6 @@ def min_undetected_weight(
             f"or weight_max <= {ENUMERATION_WEIGHT_GUARD}"
         )
     a_n = instance.num_data
-    m = instance.num_checks
     n_q = instance.inner.params.n_q
     cols = instance.outer.matrix.column_bits()
     kernel = _Kernel.build(instance, "idealized")
@@ -424,24 +425,23 @@ def min_undetected_weight(
     for weight in range(1, min(weight_max, a_n) + 1):
         if best is not None and weight >= best:
             break
-        supports, costs = [], []
+        candidates, costs = [], []
         for support in combinations(range(a_n), weight):
             acc = 0
             for j in support:
                 acc ^= cols[j]
             cost = weight + 2 * acc.bit_count()
             if cost <= weight_max and (best is None or cost < best):
-                supports.append(support)
+                # its data sites, then a double on the first qubit of each violated check
+                first = [a_n + 2 * n_q * j for j in range(acc.bit_length()) if acc >> j & 1]
+                candidates.append((*support, *(slot + t for slot in first for t in (0, 1))))
                 costs.append(cost)
-        if not supports:
+        if not candidates:
             continue
-        faults = np.zeros((len(supports), instance.fault_sites), dtype=bool)
-        faults[np.arange(len(supports))[:, None], supports] = True
-        violated = (faults[:, :a_n].astype(np.uint8) @ kernel.outer.T.astype(np.int64)) & 1
-        slots = faults[:, a_n:].reshape(len(supports), m, n_q, 2)  # a view
-        slots[:, :, 0, :] = violated[:, :, None]  # a double on the first qubit
-        reject, outcome, _ = _verdicts(kernel, faults)
-        accepted = ~reject.any(axis=1) & ~outcome.any(axis=1)
+        trial, site = np.array([(i, s) for i, sites in enumerate(candidates) for s in sites]).T
+        rejected, flipped, _ = _verdicts(kernel, trial, site)
+        bad = np.concatenate((rejected, flipped)) // instance.num_checks
+        accepted = np.bincount(bad, minlength=len(candidates)) == 0
         if accepted.any():  # every candidate costs less than the best so far
             best = int(np.array(costs)[accepted].min())
     return best

@@ -171,9 +171,11 @@ def search_best(
     """Smallest output-error spec whose effective rate stays above the floor.
 
     Candidates are all (inner code, p) pairs with one check-schedule round at
-    the default scale A = k^d after p rounds of 15->1. Ties break
-    deterministically toward smaller n_q, then smaller p, independent of
-    enumeration order. Raises SearchError when no candidate is left.
+    the default scale A = k^d after p rounds of 15->1. A candidate whose
+    chain crosses threshold (a StageError) is skipped, as is one below the
+    floor. Ties break deterministically toward smaller n_q, then smaller p,
+    independent of enumeration order. Raises SearchError when no candidate is
+    left.
     """
     rate_floor = LogScalar.coerce(rate_floor)
     pre_rounds = sorted(set(pre_rounds))
@@ -182,6 +184,7 @@ def search_best(
 
     best_key: tuple[float, int, int] | None = None
     best_spec: ProtocolSpec | None = None
+    crossed: StageError | None = None
     for params in inner_candidates:
         for p in pre_rounds:
             stages: tuple[Stage, ...] = (
@@ -189,7 +192,11 @@ def search_best(
                 HadamardStep(params, default_scale_rule(params)),
             )
             spec = ProtocolSpec(stages, eps0)
-            report = evaluate(spec, success_eps=success_eps)
+            try:
+                report = evaluate(spec, success_eps=success_eps)
+            except StageError as exc:
+                crossed = exc
+                continue
             if not report.effective_rate > rate_floor:
                 continue
             eps_key = -float("inf") if report.eps_out.is_zero() else report.eps_out.log10
@@ -198,5 +205,6 @@ def search_best(
                 best_key = key
                 best_spec = spec
     if best_spec is None:
-        raise SearchError("no candidate satisfies the rate floor")
+        skipped = "" if crossed is None else f"; skipped above threshold ({crossed})"
+        raise SearchError(f"no candidate satisfies the rate floor{skipped}")
     return best_spec

@@ -137,6 +137,57 @@ def oracle_span(matrix: BinMatrix) -> set[int]:
     return span
 
 
+def oracle_check(
+    check: BinMatrix, d: int, mode: str, residual: int, outcome: int
+) -> tuple[bool, bool, bool]:
+    """(rejected, flipped, corrupt) of one check from its packed residual and outcome parity.
+
+    The residual holds the qubits with exactly one faulty slot. Idealized mode
+    rejects at weight 1..d-1 and corrupts at weight >= d. Exact mode rejects a
+    residual that overlaps some check row oddly, and corrupts one that does
+    not and lies outside the rows' span. A rejected check is never corrupt.
+    """
+    if mode == "idealized":
+        rejected = 1 <= residual.bit_count() <= d - 1
+        corrupt = residual.bit_count() >= d
+    else:
+        rejected = any((row & residual).bit_count() % 2 for row in check.row_bits)
+        corrupt = not rejected and residual not in oracle_span(check)
+    return rejected, outcome % 2 == 1, corrupt
+
+
+def oracle_verdicts(
+    instance: ProtocolInstance, mode: str, faults: list[tuple[int, int]]
+) -> tuple[set, set, set]:
+    """The (trial, check) pairs that reject, flip and corrupt under a list of (trial, site) faults.
+
+    A trial's sites are the a_n data states, then two slots per qubit per
+    check. Each check of each trial that holds a fault is decided on its own
+    by ``oracle_check``.
+    """
+    a_n, m = instance.num_data, instance.num_checks
+    n_q, d = instance.inner.params.n_q, instance.inner.params.d_q
+    by_trial: dict[int, set[int]] = {}
+    for trial, site in faults:
+        by_trial.setdefault(trial, set()).add(site)
+    verdicts: tuple[set, set, set] = (set(), set(), set())
+    for trial, sites in by_trial.items():
+        for j in range(m):
+            outcome = sum(1 for i in range(a_n) if i in sites and instance.outer.matrix.entry(j, i))
+            residual = 0
+            for q in range(n_q):
+                first = a_n + 2 * (j * n_q + q)
+                hits = (first in sites) + (first + 1 in sites)
+                if hits == 1:
+                    residual |= 1 << q
+                outcome += hits == 2
+            flags = oracle_check(instance.inner.check, d, mode, residual, outcome)
+            for found, flag in zip(verdicts, flags):
+                if flag:
+                    found.add((trial, j))
+    return verdicts
+
+
 def oracle_min_distance(check: BinMatrix) -> int:
     """Lightest vector with zero syndrome outside the row space, by brute force over 2^n.
 

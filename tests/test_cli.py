@@ -223,6 +223,21 @@ class TestSearch:
     def test_impossible_floor(self, capsys):
         assert main(["search", "--rate-floor-log10", "1.0"]) == EXIT_INFEASIBLE
 
+    def test_skips_candidates_above_threshold(self, capsys):
+        # at eps0 = 0.2 the p = 3 chain crosses threshold; p = 0, 1 and 2 evaluate
+        argv = ["search", "--rate-floor-log10", "-7", "--eps0", "0.2"]
+        code, doc = run_json(capsys, argv)
+        assert code == EXIT_OK
+        below, expected = run_json(capsys, argv + ["--pre-rounds", "0,1,2"])
+        assert below == EXIT_OK
+        assert doc["results"] == expected["results"]
+        assert doc["results"]["report"]["label"] == "(0;1)"
+
+    def test_every_candidate_above_threshold_is_infeasible(self, capsys):
+        argv = ["search", "--rate-floor-log10", "-7", "--eps0", "0.2", "--pre-rounds", "3"]
+        assert main(argv) == EXIT_INFEASIBLE
+        assert "input error must be below 1" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_csv_series(self, capsys):
@@ -256,7 +271,8 @@ class TestCompare:
 INPUT_ERROR_ARGVS = {
     "analyze": ["analyze", "--inner", "149,117,5", "--pre-rounds", "3", "--eps0"],
     "table-s1": ["table-s1", "--eps0"],
-    "search": ["search", "--rate-floor-log10", "-7", "--eps0"],
+    # only the p = 3 candidates, which cross threshold at eps0 = 0.2
+    "search": ["search", "--rate-floor-log10", "-7", "--pre-rounds", "3", "--eps0"],
     "compare": ["compare", "--eps-in"],
 }
 

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -7,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerate_truncated, oracle_min_weight, oracle_residual_classes
+from conftest import (
+    enumerate_truncated,
+    oracle_min_weight,
+    oracle_residual_classes,
+    oracle_verdicts,
+)
 from msdistill.fault_sim import (
     MAX_CHUNK_FAULTS,
     FaultAssignment,
@@ -15,6 +21,7 @@ from msdistill.fault_sim import (
     SimReport,
     _fault_positions,
     _Kernel,
+    _simulate_block,
     _verdicts,
     make_single_check_instance,
     min_undetected_weight,
@@ -26,6 +33,10 @@ from msdistill.inner_codes import RM15, STEANE, CssCodeParams, WeaklySelfDualCod
 from msdistill.outer_codes import OuterCode, build_biregular
 
 IDENTITY_OUTER = OuterCode(BinMatrix.identity(4), 1, 1)
+# Steane's rows on qubits 63..69 of 70: rank 3, so k = 64 and d = 1
+WIDE = WeaklySelfDualCode(
+    CssCodeParams(70, 64, 1), BinMatrix(3, 70, tuple(row << 63 for row in STEANE.check.row_bits))
+)
 
 
 def steane_identity_instance() -> ProtocolInstance:
@@ -126,24 +137,22 @@ class TestExactResiduals:
 
     @pytest.mark.parametrize("code", [STEANE, RM15], ids=["steane", "rm15"])
     def test_every_residual_matches_the_oracle(self, code):
-        # one grid row per residual: slot 0 of each of its qubits on the one check
+        # one trial per residual: slot 0 of each of its qubits on the one check
         inst = make_single_check_instance(code)
         n_q = code.params.n_q
         residuals = np.arange(1 << n_q)
         faults = np.zeros((len(residuals), inst.fault_sites), dtype=bool)
         faults[:, inst.num_data :: 2] = (residuals[:, None] >> np.arange(n_q)) & 1
-        reject, outcome, corrupt = _verdicts(_Kernel.build(inst, "exact"), faults)
+        reject, outcome, corrupt = _verdicts(_Kernel.build(inst, "exact"), *np.nonzero(faults))
         classes = oracle_residual_classes(code.check)
         assert set(classes) == {"detected", "stabilizer", "logical"}
-        assert reject[:, 0].tolist() == [c == "detected" for c in classes]
-        assert corrupt[:, 0].tolist() == [c == "logical" for c in classes]
+        # one check: a (trial, check) key is the trial, which is the residual
+        assert np.isin(residuals, reject).tolist() == [c == "detected" for c in classes]
+        assert np.isin(residuals, corrupt).tolist() == [c == "logical" for c in classes]
         assert not outcome.any()  # single-slot faults never flip the outcome
 
     def test_inner_code_wider_than_a_machine_word(self):
-        # Steane's rows on qubits 63..69 of 70: rank 3, so k = 64 and d = 1
-        rows = tuple(row << 63 for row in STEANE.check.row_bits)
-        code = WeaklySelfDualCode(CssCodeParams(70, 64, 1), BinMatrix(3, 70, rows))
-        inst = ProtocolInstance(code, IDENTITY_OUTER, strict=False)
+        inst = ProtocolInstance(WIDE, IDENTITY_OUTER, strict=False)
         logical = [(0, 63 + q, 0) for q in (0, 1, 2)]
         stabilizer = [(0, 63 + q, 0) for q in range(7) if (STEANE.check.row_bits[0] >> q) & 1]
         cases = [
@@ -155,6 +164,43 @@ class TestExactResiduals:
         for slots, expected in cases:
             verdict = run_check(inst, 0, assignment(inst, slots=slots), "exact")
             assert (verdict.rejected, verdict.corrupted) == expected
+
+
+@st.composite
+def fault_lists(draw):
+    """A random instance with a sorted (trial, site) fault list.
+
+    Besides scattered faults, some come as doubles and some as whole residuals
+    (slot 0 of a random set of one check's qubits), so that stabilizer and
+    logical residuals occur too.
+    """
+    code = draw(st.sampled_from([STEANE, RM15, WIDE]))
+    a_n, m = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    rows = tuple(draw(st.integers(0, (1 << a_n) - 1)) for _ in range(m))
+    inst = ProtocolInstance(code, OuterCode(BinMatrix(m, a_n, rows), 0, 0), strict=False)
+    trials, n_q = st.integers(0, 3), code.params.n_q
+    faults = draw(st.sets(st.tuples(trials, st.integers(0, inst.fault_sites - 1)), max_size=40))
+    doubles = st.tuples(trials, st.integers(0, m - 1), st.integers(0, n_q - 1))
+    for trial, j, q in draw(st.sets(doubles, max_size=6)):
+        first = a_n + 2 * (j * n_q + q)
+        faults |= {(trial, first), (trial, first + 1)}
+    residuals = st.tuples(trials, st.integers(0, m - 1), st.integers(0, (1 << n_q) - 1))
+    for trial, j, residual in draw(st.lists(residuals, max_size=3)):
+        faults |= {(trial, a_n + 2 * (j * n_q + q)) for q in range(n_q) if residual >> q & 1}
+    return inst, sorted(faults)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=fault_lists(), mode=st.sampled_from(["idealized", "exact"]))
+def test_verdicts_match_the_per_check_oracle(case, mode):
+    inst, faults = case
+    trial = np.array([t for t, _ in faults], dtype=np.int64)
+    site = np.array([s for _, s in faults], dtype=np.int64)
+    found = _verdicts(_Kernel.build(inst, mode), trial, site)
+    for keys in found:
+        assert (np.diff(keys) > 0).all()  # sorted and unique
+    as_pairs = tuple({divmod(int(k), inst.num_checks) for k in keys} for keys in found)
+    assert as_pairs == oracle_verdicts(inst, mode, faults)
 
 
 class TestSiteLayout:
@@ -376,6 +422,32 @@ class TestMonteCarlo:
             monte_carlo(inst, 0.1, 100, seed=0, corruption="maybe")
         with pytest.raises(ValueError):
             monte_carlo(inst, 0.1, 100, seed=0, block_size=0)
+
+
+class TestPegSchedule:
+    """Exact mode on the a_n = 60 PEG schedule that the schedule_verify benchmark simulates."""
+
+    @staticmethod
+    def instance():
+        return ProtocolInstance(STEANE, build_biregular(60, 3, 3, 6, 1), strict=False)
+
+    @pytest.mark.parametrize("eps, accepted", [(1e-3, 13241), (3e-3, 2143)])
+    def test_seed_pins_the_report(self, eps, accepted):
+        # counts recorded before the verdict worked from fault lists: a given
+        # seed's draw, and so its counts, must not change
+        report = monte_carlo(self.instance(), eps, 1 << 15, 1, mode="exact", block_size=1 << 14)
+        assert report == SimReport(1 << 15, accepted, 0, 0, eps, 1, "exact", "erroneous")
+
+    def test_block_memory_stays_small(self):
+        # a trial x site grid of this block took about 43 MB at its peak
+        kernel = _Kernel.build(self.instance(), "exact")
+        tracemalloc.start()
+        try:
+            _simulate_block(kernel, 1e-3, 7, 0, 1 << 14, "erroneous")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestSingleCheck:

@@ -1,9 +1,13 @@
-"""The protocol commands' output, compared byte for byte with tests/golden/.
+"""Subcommand output, compared byte for byte with tests/golden/.
 
-The argvs are the calls of the ``protocol_eval`` benchmark workload
-(perfbench/workloads.py). For each one the JSON document, and the CSV document
-where the subcommand has a CSV form, is stored under tests/golden/. A change
-that must print the same numbers keeps these files as they are.
+CALLS are the calls of the ``protocol_eval`` benchmark workload
+(perfbench/workloads.py). SIMULATE_CALLS pin the Monte Carlo counts of a fixed
+seed: Steane under the identity and single-check schedules, in both check
+modes and under both corruption conventions, with 0.2 in each eps sweep so
+that a block's draw takes more than one chunk. For each call the JSON
+document, and the CSV document where the subcommand has a CSV form, is stored
+under tests/golden/. A change that must print the same numbers keeps these
+files as they are.
 
 The three ``--success-eps achieved`` calls record the known unsound bounds of
 ROADMAP item 3: their check-schedule stage's union bound exceeds 1 and prints
@@ -37,9 +41,28 @@ CALLS = (
     ["validate-code", "--code", "rm15"],
 )
 
+_SIMULATE = ["simulate", "--inner", "steane", "--trials", "20000", "--block-size", "8192"]
+_SWEEP = ["--eps", "0.005,0.01,0.05,0.2"]
+SIMULATE_CALLS = (
+    *(
+        [*_SIMULATE, "--outer", "identity", *_SWEEP, "--mode", mode]
+        for mode in ("idealized", "exact")
+    ),
+    *(
+        [*_SIMULATE, "--outer", "single-check", *_SWEEP, "--mode", mode, "--corruption", corruption]
+        for mode in ("idealized", "exact")
+        for corruption in ("erroneous", "reject")
+    ),
+    *(
+        [*_SIMULATE, "--outer", "identity", "--eps", "0.1", "--mode", mode,
+         "--corruption", "reject"]
+        for mode in ("idealized", "exact")
+    ),
+)
+
 CASES = [
     (argv, fmt)
-    for argv in CALLS
+    for argv in (*CALLS, *SIMULATE_CALLS)
     for fmt in (("json", "csv") if COMMANDS[argv[0]].csv_header else ("json",))
 ]
 

@@ -8,6 +8,7 @@ from msdistill.pipeline import (
     HadamardStep,
     PreDistillation,
     ProtocolSpec,
+    SearchError,
     StageError,
     default_scale_rule,
     evaluate,
@@ -128,6 +129,14 @@ class TestSearch:
     def test_impossible_floor(self):
         with pytest.raises(ValueError):
             search_best(LogScalar.coerce(1), distance_family(10**4), range(3))
+
+    def test_candidates_above_threshold_are_skipped(self):
+        # at eps0 = 0.2 the p = 3 chain crosses threshold before its check round
+        candidates = distance_family(10**4)
+        below = search_best(self.FLOOR, candidates, range(3), eps0=0.2)
+        assert search_best(self.FLOOR, candidates, range(4), eps0=0.2) == below
+        with pytest.raises(SearchError, match="input error must be below 1"):
+            search_best(self.FLOOR, candidates, [3], eps0=0.2)
 
     def test_empty_space(self):
         with pytest.raises(ValueError):
