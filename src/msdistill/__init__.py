@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 
 from .analytics import (
     StageReport,
-    fifteen_to_one,
     overhead_exponent,
     predistill_chain,
     t_exponent,
@@ -70,7 +69,6 @@ __all__ = [
     "check_sensitivity",
     "distance_family",
     "evaluate",
-    "fifteen_to_one",
     "figure2_dataset",
     "girth",
     "gv_params",

@@ -43,17 +43,6 @@ def _as_eps(eps: LogScalar | float) -> LogScalar:
     return eps
 
 
-def fifteen_to_one(eps_in: LogScalar | float) -> StageReport:
-    """One round of 15->1 distillation: eps -> 35 eps^3, 15 inputs per output."""
-    eps_in = _as_eps(eps_in)
-    if eps_in.is_zero():
-        raise ValueError("eps_in must be positive")
-    eps_out = LogScalar.coerce(FIFTEEN_TO_ONE_ERROR_COEFF) * eps_in**3
-    success = pow_one_minus(eps_in, FIFTEEN_TO_ONE_INPUTS)
-    inputs = LogScalar.coerce(FIFTEEN_TO_ONE_INPUTS)
-    return StageReport("pre_distillation", inputs, eps_out, success)
-
-
 def predistill_chain(rounds: int, eps0: LogScalar | float) -> StageReport:
     """rounds iterations of 15->1, via the closed form 35^((3^p-1)/2) eps0^(3^p)."""
     if rounds < 0:
@@ -105,50 +94,18 @@ def output_error_bound(
     return LogScalar.from_log10(log10_binomial(n_prime, d)) * eps**d
 
 
-def predistill_cost(
-    eps_target: LogScalar | float,
-    gamma_pre: float = REED_MULLER_OVERHEAD_EXPONENT,
-    cost_const: float = 1.0,
-) -> float:
-    """Inputs per intermediate state: C * ln(1/eps)^gamma_pre."""
-    eps_target = _as_eps(eps_target)
-    if eps_target.is_zero():
-        raise ValueError("eps_target must be positive")
-    return cost_const * (-eps_target.ln()) ** gamma_pre
-
-
-def t_exponent(
-    params: CssCodeParams,
-    scale: LogScalar | int,
-    gamma_pre: float = REED_MULLER_OVERHEAD_EXPONENT,
-    xi: float = 1.0,
-) -> float:
+def t_exponent(params: CssCodeParams, scale: LogScalar | int) -> float:
     """Rate-scaling exponent t; approaches 1 from above along growing families.
 
-    All logarithms are natural; the asymptotic o(1) remainder is omitted.
+    Uses the Reed-Muller pre-distillation exponent gamma = 2.46 and xi = 1:
+    t = 1 + ((gamma + 1) ln d + gamma ln ln(A n d)) / ln(A n). All logarithms
+    are natural; the asymptotic o(1) remainder is omitted.
     """
-    if xi <= 0:
-        raise ValueError("xi must be positive")
     scale = LogScalar.coerce(scale)
     ln_an = scale.ln() + math.log(params.n_q)
     if ln_an <= 0:
         raise ValueError("need A * n > 1")
     ln_and = ln_an + math.log(params.d_q)
-    numerator = (
-        (gamma_pre + 1.0) * math.log(params.d_q)
-        + gamma_pre * math.log(ln_and)
-        + math.log(xi)
-    )
+    gamma = REED_MULLER_OVERHEAD_EXPONENT
+    numerator = (gamma + 1.0) * math.log(params.d_q) + gamma * math.log(ln_and)
     return 1.0 + numerator / ln_an
-
-
-def effective_rate(
-    a_n: int,
-    n_total: LogScalar | int,
-    eps_prime: LogScalar | float,
-    n_prime: LogScalar | int,
-) -> LogScalar:
-    """Post-selected rate (1 - eps')^n' * a_n / n_total."""
-    eps_prime = _as_eps(eps_prime)
-    success = pow_one_minus(eps_prime, LogScalar.coerce(n_prime))
-    return success * LogScalar.coerce(a_n) / LogScalar.coerce(n_total)

@@ -458,10 +458,10 @@ def cmd_simulate(config: dict[str, Any]) -> Output:
                 ],
             }
             csv_rows = [f"{eps:.6g},{out:.6g},{events}" for eps, out, events in fit.points]
-    except (ValueError, RuntimeError) as exc:
-        raise InfeasibleError(
-            f"{exc} (hint: shrink the instance, lower trials, or raise eps)"
-        ) from exc
+    except ValueError as exc:
+        raise InfeasibleError(str(exc)) from exc
+    except RuntimeError as exc:  # the slope fit found fewer than two points with events
+        raise InfeasibleError(f"{exc} (hint: raise --trials or the eps values)") from exc
     return Output(results, csv_rows=csv_rows)
 
 

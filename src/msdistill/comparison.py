@@ -10,7 +10,6 @@ from .inner_codes import binary_entropy
 from .logdomain import LogScalar
 from .pipeline import PipelineReport, ProtocolSpec, evaluate
 
-QUDIT_DIMENSION = 1024
 CCZ_TO_TARGET_CONVERSION = 70  # |CCZ> states per distillation-code input state
 T_PER_CCZ = 4
 PUBLISHED_MIN_BLOCK_LENGTH = 932093  # the paper's stated N for the smallest instance
@@ -21,13 +20,10 @@ MAX_CATALYST_ROUNDS = 30
 class QagParams:
     """Parameters of one instance of the constant-overhead qudit code family."""
 
-    index: int
     n_low: int
     n_high: int
     k: int
-    d_low: int
     decode_radius: int
-    qudit_dim: int = QUDIT_DIMENSION
 
     def __post_init__(self) -> None:
         if not (self.n_low <= self.n_high and self.k < self.n_low):
@@ -48,29 +44,18 @@ def qag_params(index: int) -> QagParams:
     n_high = 118 * base // 4 - 1
     k = 5 * base // 4
     radius = base // 8
-    return QagParams(index, n_low, n_high, k, k + 1, radius)
+    return QagParams(n_low, n_high, k, radius)
 
 
-def qag_threshold(
-    params: QagParams,
-    conversion: float = CCZ_TO_TARGET_CONVERSION,
-    *,
-    ratio: float = 3.0 / 76.0,
-) -> float:
+def qag_threshold() -> float:
     """Input-error threshold lower bound 1/(C * 2^((N/(r+1)) h((r+1)/N))).
 
-    ``ratio`` is (r+1)/N; the default is the simplification ~3/76 implied by
-    the parameter formulas. ``ratio=0`` takes the entropy term to its
-    continuity limit (no exponential penalty).
+    C = 70 |CCZ> states per input state, and (r+1)/N is the simplification
+    3/76 that the parameter formulas imply.
     """
-    if conversion <= 0:
-        raise ValueError("conversion factor must be positive")
-    if not 0 <= ratio <= 1:
-        raise ValueError("ratio must lie in [0, 1]")
-    if ratio == 0:
-        return 1.0 / conversion
+    ratio = 3.0 / 76.0
     exponent = binary_entropy(ratio) / ratio
-    return 1.0 / (conversion * 2.0**exponent)
+    return 1.0 / (CCZ_TO_TARGET_CONVERSION * 2.0**exponent)
 
 
 @dataclass(frozen=True)
@@ -80,9 +65,7 @@ class CatalystSchedule:
     ratio_to_threshold: float
 
 
-def qag_catalyst_rounds(
-    eps_in: float, params: QagParams, threshold: float
-) -> CatalystSchedule:
+def qag_catalyst_rounds(eps_in: float, threshold: float) -> CatalystSchedule:
     """Fewest 15->1 rounds bringing eps_in below the threshold, plus the margin ratio."""
     if not 0 < eps_in < 1:
         raise ValueError("eps_in must be in (0,1)")
@@ -93,23 +76,17 @@ def qag_catalyst_rounds(
     raise RuntimeError(f"threshold not reached within {MAX_CATALYST_ROUNDS} rounds")
 
 
-def qag_rate(
-    params: QagParams,
-    catalyst_rounds: int,
-    *,
-    block_length: int | None = None,
-) -> LogScalar:
-    """Distillation rate (2K+1) / (15^3 * 280 N + 15^l_c).
+def qag_rate(params: QagParams, catalyst_rounds: int) -> LogScalar:
+    """Distillation rate (2K+1) / (15^3 * 280 N + 15^l_c), N the paper's stated block length.
 
-    ``block_length`` defaults to the paper's stated N so the headline number
-    reproduces; pass ``params.n_low`` for the value the formulas derive.
+    The formulas derive ``params.n_low``, four below the published N; the
+    published value keeps the headline number reproducible.
     """
     if catalyst_rounds < 0:
         raise ValueError("catalyst rounds must be >= 0")
-    n = PUBLISHED_MIN_BLOCK_LENGTH if block_length is None else block_length
     numerator = 2 * params.k + 1
     denominator = (
-        FIFTEEN_TO_ONE_INPUTS**3 * T_PER_CCZ * CCZ_TO_TARGET_CONVERSION * n
+        FIFTEEN_TO_ONE_INPUTS**3 * T_PER_CCZ * CCZ_TO_TARGET_CONVERSION * PUBLISHED_MIN_BLOCK_LENGTH
         + FIFTEEN_TO_ONE_INPUTS**catalyst_rounds
     )
     return LogScalar.coerce(numerator) / LogScalar.coerce(denominator)
@@ -118,8 +95,7 @@ def qag_rate(
 def qag_baseline_rate(eps_in: float = 0.1) -> tuple[LogScalar, QagParams, CatalystSchedule]:
     """Rate of the smallest family instance at the standard initial error."""
     params = qag_params(3)
-    threshold = qag_threshold(params)
-    schedule = qag_catalyst_rounds(eps_in, params, threshold)
+    schedule = qag_catalyst_rounds(eps_in, qag_threshold())
     return qag_rate(params, schedule.rounds), params, schedule
 
 

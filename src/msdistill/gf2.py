@@ -64,10 +64,6 @@ class BinMatrix:
     def identity(cls, n: int) -> "BinMatrix":
         return cls(n, n, tuple(1 << i for i in range(n)))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BinMatrix":
-        return cls(rows, cols, (0,) * rows)
-
     def entry(self, i: int, j: int) -> int:
         return (self.row_bits[i] >> j) & 1
 
@@ -89,10 +85,6 @@ class BinMatrix:
         packed = b"".join(r.to_bytes(width, "little") for r in self.row_bits)
         grid = np.frombuffer(packed, dtype=np.uint8).reshape(self.rows, width)
         return np.unpackbits(grid, axis=1, count=self.cols, bitorder="little")
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "BinMatrix":
-        return cls.from_rows(np.asarray(arr, dtype=np.uint8) % 2)
 
 
 def _eliminate(matrix: BinMatrix) -> tuple[list[int], list[int]]:

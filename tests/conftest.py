@@ -11,6 +11,12 @@ from itertools import combinations
 
 from msdistill.fault_sim import ProtocolInstance
 from msdistill.gf2 import BinMatrix
+from msdistill.logdomain import LogScalar
+
+
+def fifteen_to_one(eps: LogScalar) -> LogScalar:
+    """One 15->1 round, eps -> 35 eps^3: the recursion predistill_chain's closed form solves."""
+    return LogScalar.coerce(35) * eps**3
 
 
 def enumerate_truncated(

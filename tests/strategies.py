@@ -17,4 +17,4 @@ def bin_matrices(draw, max_rows=8, max_cols=16):
 
 def random_matrix(rows: int, cols: int, seed: int) -> BinMatrix:
     rng = np.random.default_rng(seed)
-    return BinMatrix.from_array(rng.integers(0, 2, size=(rows, cols)))
+    return BinMatrix.from_rows(rng.integers(0, 2, size=(rows, cols)))

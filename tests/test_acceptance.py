@@ -13,7 +13,7 @@ import pytest
 from conftest import oracle_min_weight
 from msdistill.analytics import overhead_exponent, predistill_chain, t_exponent
 from msdistill.cli import EXIT_OK, main
-from msdistill.comparison import qag_baseline_rate, qag_params, qag_threshold
+from msdistill.comparison import qag_baseline_rate, qag_threshold
 from msdistill.fault_sim import (
     ProtocolInstance,
     fit_error_order,
@@ -44,7 +44,7 @@ def test_acceptance_01_predistillation_chain():
 def test_acceptance_02_constant_overhead_baseline():
     start = time.perf_counter()
     rate, params, schedule = qag_baseline_rate(0.1)
-    threshold = qag_threshold(qag_params(3))
+    threshold = qag_threshold()
     elapsed = time.perf_counter() - start
     assert schedule.rounds == 3
     assert rate.to_float() == pytest.approx(9.28e-8, rel=0.005)

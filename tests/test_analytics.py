@@ -1,18 +1,16 @@
 import math
 
 import pytest
+from conftest import fifteen_to_one
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msdistill.analytics import (
     ThresholdError,
-    effective_rate,
-    fifteen_to_one,
     hadamard_step_counts,
     output_error_bound,
     overhead_exponent,
     predistill_chain,
-    predistill_cost,
     required_intermediate_error,
     t_exponent,
 )
@@ -21,26 +19,26 @@ from msdistill.logdomain import ONE, ZERO, LogScalar
 
 
 class TestFifteenToOne:
+    """One 15->1 round: predistill_chain(1, eps)."""
+
     def test_standard_input(self):
-        report = fifteen_to_one(0.1)
+        report = predistill_chain(1, 0.1)
         assert report.eps_out.to_float() == pytest.approx(0.035, rel=1e-12)
         assert report.success_prob.to_float() == pytest.approx(0.9**15, rel=1e-10)
         assert report.inputs_per_output.to_float() == pytest.approx(15, rel=1e-12)
 
     def test_second_stage(self):
-        report = fifteen_to_one(0.035)
+        report = predistill_chain(1, 0.035)
         assert report.eps_out.to_float() == pytest.approx(35 * 0.035**3, rel=1e-12)
 
     @given(st.floats(min_value=1e-8, max_value=1e-4))
     def test_leading_coefficient(self, eps):
-        report = fifteen_to_one(eps)
+        report = predistill_chain(1, eps)
         assert report.eps_out.to_float() / eps**3 == pytest.approx(35, rel=1e-9)
 
     def test_guards(self):
         with pytest.raises(ValueError):
-            fifteen_to_one(1.0)
-        with pytest.raises(ValueError):
-            fifteen_to_one(0.0)
+            predistill_chain(1, 1.0)
 
 
 class TestPredistillChain:
@@ -66,7 +64,7 @@ class TestPredistillChain:
         closed = predistill_chain(rounds, eps0).eps_out
         eps = LogScalar.from_float(eps0)
         for _ in range(rounds):
-            eps = fifteen_to_one(eps).eps_out
+            eps = fifteen_to_one(eps)
         assert closed.log10 == pytest.approx(eps.log10, abs=1e-9)
 
     def test_negative_rounds(self):
@@ -163,18 +161,6 @@ class TestOutputErrorBound:
         assert sizes[0] < sizes[1] < sizes[2]
 
 
-class TestPredistillCost:
-    def test_unit_target(self):
-        assert predistill_cost(LogScalar.from_float(math.exp(-1))) == pytest.approx(1.0)
-
-    def test_deep_target(self):
-        cost = predistill_cost(LogScalar.from_log10(-360))
-        assert cost == pytest.approx((360 * math.log(10)) ** 2.46, rel=1e-9)
-
-    def test_zero_exponent_is_constant(self):
-        assert predistill_cost(LogScalar.from_log10(-50), gamma_pre=0.0, cost_const=7.5) == 7.5
-
-
 class TestTExponent:
     def test_headline_point(self):
         t = t_exponent(CssCodeParams(8104, 8002, 9), 8002**9)
@@ -190,23 +176,3 @@ class TestTExponent:
             params = gv_params(2**exp)
             values.append(t_exponent(params, params.k_q**params.d_q))
         assert all(a > b for a, b in zip(values, values[1:]))
-
-    def test_guards(self):
-        with pytest.raises(ValueError):
-            t_exponent(CssCodeParams(7, 1, 3), 1, xi=0.0)
-
-
-class TestEffectiveRate:
-    def test_perfect_post_selection(self):
-        rate = effective_rate(4, 60, ZERO, 60)
-        assert rate.to_float() == pytest.approx(4 / 60, rel=1e-12)
-
-    def test_small_instance(self):
-        rate = effective_rate(4, 60, 1e-4, 60)
-        assert rate.to_float() == pytest.approx((1 - 1e-4) ** 60 * 4 / 60, rel=1e-9)
-
-    def test_tiny_eps_huge_count(self):
-        rate = effective_rate(
-            4, 60, LogScalar.from_log10(-360), LogScalar.from_log10(40)
-        )
-        assert rate.to_float() == pytest.approx(4 / 60, rel=1e-12)

@@ -326,10 +326,20 @@ class TestSimulate:
 
     def test_guard_violation_exits_two(self, capsys):
         assert main(["simulate", "--eps", "0.9", "--trials", "10"]) == EXIT_INFEASIBLE
+        assert capsys.readouterr().err == "infeasible: eps must be in [0, 0.5)\n"
 
     def test_zero_block_size_exits_two(self, capsys):
         argv = ["simulate", "--eps", "0.01", "--trials", "10", "--block-size", "0"]
         assert main(argv) == EXIT_INFEASIBLE
+        assert capsys.readouterr().err == "infeasible: block_size must be >= 1\n"
+
+    def test_slope_fit_without_events_hints_at_trials(self, capsys):
+        argv = ["simulate", "--eps", "1e-6,2e-6", "--trials", "10"]
+        assert main(argv) == EXIT_INFEASIBLE
+        assert capsys.readouterr().err == (
+            "infeasible: not enough nonzero points for a slope fit "
+            "(hint: raise --trials or the eps values)\n"
+        )
 
     def test_replay_is_byte_identical(self, tmp_path):
         first = tmp_path / "run1.json"

@@ -5,9 +5,7 @@ import pytest
 
 from msdistill.comparison import (
     PUBLISHED_MIN_BLOCK_LENGTH,
-    CatalystSchedule,
     ComparisonRow,
-    QagParams,
     figure2_dataset,
     qag_baseline_rate,
     qag_catalyst_rounds,
@@ -60,41 +58,24 @@ class TestQagParams:
 
 class TestThreshold:
     def test_published_value(self):
-        threshold = qag_threshold(qag_params(3))
+        threshold = qag_threshold()
         assert threshold == pytest.approx(2.14e-4, rel=0.02)
-
-    def test_zero_ratio_limit(self):
-        assert qag_threshold(qag_params(3), conversion=1.0, ratio=0.0) == 1.0
-
-    def test_half_ratio(self):
-        # exponent h(1/2)/(1/2) = 2 -> threshold 1/(4C)
-        assert qag_threshold(qag_params(3), conversion=3.0, ratio=0.5) == pytest.approx(
-            1 / 12
-        )
-
-    def test_guards(self):
-        with pytest.raises(ValueError):
-            qag_threshold(qag_params(3), conversion=0.0)
-        with pytest.raises(ValueError):
-            qag_threshold(qag_params(3), ratio=1.5)
 
 
 class TestCatalystRounds:
     def test_three_rounds_needed(self):
-        params = qag_params(3)
-        schedule = qag_catalyst_rounds(0.1, params, qag_threshold(params))
+        schedule = qag_catalyst_rounds(0.1, qag_threshold())
         assert schedule.rounds == 3
         assert schedule.eps_pre == pytest.approx(1.18e-7, rel=0.01)
         assert schedule.ratio_to_threshold == pytest.approx(5.5e-4, rel=0.02)
 
     def test_already_below_threshold(self):
-        params = qag_params(3)
-        schedule = qag_catalyst_rounds(1e-6, params, qag_threshold(params))
+        schedule = qag_catalyst_rounds(1e-6, qag_threshold())
         assert schedule.rounds == 0
 
     def test_input_guard(self):
         with pytest.raises(ValueError):
-            qag_catalyst_rounds(0.0, qag_params(3), 1e-4)
+            qag_catalyst_rounds(0.0, 1e-4)
 
 
 class TestRate:
@@ -108,12 +89,6 @@ class TestRate:
         params = qag_params(3)
         rates = [qag_rate(params, l).to_float() for l in (0, 3, 10, 20)]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
-
-    def test_monotone_in_block_length(self):
-        params = qag_params(3)
-        small = qag_rate(params, 3, block_length=params.n_low)
-        large = qag_rate(params, 3, block_length=params.n_low * 10)
-        assert large < small
 
     def test_large_catalyst_limit(self):
         params = qag_params(3)

@@ -1,13 +1,15 @@
-"""The narrative demos still run against the library.
+"""The narrative demos and the README quick start still run against the library.
 
 ``fault_injection.py`` is left out: it runs two million trials per point.
 """
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
-DEMOS = Path(__file__).resolve().parents[1] / "demos"
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ROOT / "demos"
 
 
 @pytest.mark.parametrize("name", ["finite_size_comparison", "schedule_design"])
@@ -17,3 +19,10 @@ def test_demo_runs(capsys, name):
     spec.loader.exec_module(module)
     module.main()
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_quick_start(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "(4;1),-6.591737,-2884.969711,-0.928236\n"

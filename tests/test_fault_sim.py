@@ -490,7 +490,7 @@ class TestMinUndetectedWeight:
     def test_d5_instance_matches_arithmetic_oracle(self):
         # distance-5 synthetic inner; idealized mode never reads the matrix
         inner = WeaklySelfDualCode(
-            CssCodeParams(17, 1, 5), BinMatrix.zeros(8, 17)
+            CssCodeParams(17, 1, 5), BinMatrix(8, 17, (0,) * 8)
         )
         outer = build_biregular(6, 2, 2, 4, seed=3)
         inst = ProtocolInstance(inner, outer, strict=False)

@@ -1,4 +1,4 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and ``__all__`` is exact.
 
 No linter ships with the toolchain, so this walks each module's syntax tree:
 an imported name counts as used if the module reads it anywhere, or, in
@@ -48,3 +48,15 @@ def test_every_import_is_used(path):
 def test_unused_import_is_caught():
     tree = ast.parse("import os\nfrom math import pi, tau\n__all__ = ['tau']\n")
     assert set(imported_names(tree)) - used_names(tree) == {"os", "pi"}
+
+
+def test_all_names_resolve():
+    missing = [name for name in msdistill.__all__ if not hasattr(msdistill, name)]
+    assert not missing, f"__all__ lists names the package lacks: {missing}"
+
+
+def test_init_imports_are_exported():
+    init = Path(msdistill.__file__)
+    exported = set(msdistill.__all__)
+    unlisted = set(imported_names(ast.parse(init.read_text(encoding="utf-8")))) - exported
+    assert not unlisted, f"__init__ imports names __all__ omits: {sorted(unlisted)}"

@@ -39,7 +39,7 @@ def self_orthogonal_matrices(draw):
         picks = draw(st.lists(st.integers(1, (1 << k) - 1), min_size=k, max_size=k))
         combos = np.array([[(p >> i) & 1 for i in range(k)] for p in picks])
         combined = combos @ base.to_array() % 2
-        return BinMatrix.from_array(combined[:, rng.sample(range(base.cols), base.cols)])
+        return BinMatrix.from_rows(combined[:, rng.sample(range(base.cols), base.cols)])
     cols = draw(st.integers(1, 12))
     rows: list[int] = []
     for _ in range(draw(st.integers(0, 64))):
@@ -145,7 +145,7 @@ class TestValidateCode:
 
     def test_large_code_marked_unverified(self):
         params = CssCodeParams(30, 2, 3)
-        code = WeaklySelfDualCode(params, BinMatrix.zeros(14, 30))
+        code = WeaklySelfDualCode(params, BinMatrix(14, 30, (0,) * 14))
         report = validate_code(code)
         assert report.distance_ok is None
         assert any("unverified" in note for note in report.notes)
@@ -164,7 +164,7 @@ class TestMinDistance:
 
     def test_size_guard(self):
         with pytest.raises(ValueError):
-            min_distance_css(BinMatrix.zeros(1, 21))
+            min_distance_css(BinMatrix(1, 21, (0,)))
 
     @pytest.mark.parametrize("code", [STEANE, RM15], ids=["steane", "rm15"])
     def test_library_codes_match_brute_force(self, code):

@@ -105,7 +105,7 @@ class TestSensitivity:
 
     def test_exhaustive_guard(self):
         with pytest.raises(ValueError, match="exhaustive guard"):
-            check_sensitivity(BinMatrix.zeros(2, 5000), 3, 1)
+            check_sensitivity(BinMatrix(2, 5000, (0,) * 2), 3, 1)
 
 
 def assert_matches_oracle(matrix, d_tilde, s_req):
