@@ -161,6 +161,22 @@ class TestOutputErrorBound:
         assert sizes[0] < sizes[1] < sizes[2]
 
 
+class TestStageRate:
+    """StageReport.effective_rate, success probability over inputs per output."""
+
+    def test_perfect_post_selection(self):
+        rate = predistill_chain(2, ZERO).effective_rate
+        assert rate.to_float() == pytest.approx(1 / 225, rel=1e-12)
+
+    def test_small_instance(self):
+        rate = predistill_chain(1, 1e-4).effective_rate
+        assert rate.to_float() == pytest.approx((1 - 1e-4) ** 15 / 15, rel=1e-9)
+
+    def test_tiny_eps_many_rounds(self):
+        rate = predistill_chain(40, LogScalar.from_log10(-360)).effective_rate
+        assert rate.log10 == pytest.approx(-40 * math.log10(15), abs=1e-9)
+
+
 class TestTExponent:
     def test_headline_point(self):
         t = t_exponent(CssCodeParams(8104, 8002, 9), 8002**9)
@@ -176,3 +192,7 @@ class TestTExponent:
             params = gv_params(2**exp)
             values.append(t_exponent(params, params.k_q**params.d_q))
         assert all(a > b for a, b in zip(values, values[1:]))
+
+    def test_guards(self):
+        with pytest.raises(ValueError, match="A \\* n > 1"):
+            t_exponent(CssCodeParams(2, 1, 1), 0.5)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from msdistill.analytics import ThresholdError
 from msdistill.comparison import (
     PUBLISHED_MIN_BLOCK_LENGTH,
     ComparisonRow,
@@ -61,6 +62,12 @@ class TestThreshold:
         threshold = qag_threshold()
         assert threshold == pytest.approx(2.14e-4, rel=0.02)
 
+    def test_fixed_conventions(self):
+        # C = 70 and (r+1)/N = 3/76: exponent h(3/76) * 76/3
+        ratio = 3 / 76
+        entropy = -ratio * math.log2(ratio) - (1 - ratio) * math.log2(1 - ratio)
+        assert qag_threshold() == pytest.approx(1 / (70 * 2 ** (entropy / ratio)), rel=1e-12)
+
 
 class TestCatalystRounds:
     def test_three_rounds_needed(self):
@@ -77,6 +84,11 @@ class TestCatalystRounds:
         with pytest.raises(ValueError):
             qag_catalyst_rounds(0.0, 1e-4)
 
+    def test_input_above_fifteen_to_one_threshold(self):
+        # 0.5 -> 4.375 after one round: the second round's input is not an error rate
+        with pytest.raises(ThresholdError, match="round 2"):
+            qag_catalyst_rounds(0.5, qag_threshold())
+
 
 class TestRate:
     def test_published_headline(self):
@@ -89,6 +101,12 @@ class TestRate:
         params = qag_params(3)
         rates = [qag_rate(params, l).to_float() for l in (0, 3, 10, 20)]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
+
+    def test_uses_published_block_length(self):
+        params = qag_params(3)
+        expected = (2 * params.k + 1) / (15**3 * 280 * PUBLISHED_MIN_BLOCK_LENGTH + 1)
+        assert qag_rate(params, 0).to_float() == pytest.approx(expected, rel=1e-12)
+        assert PUBLISHED_MIN_BLOCK_LENGTH != params.n_low
 
     def test_large_catalyst_limit(self):
         params = qag_params(3)
