@@ -22,7 +22,7 @@ from .inner_codes import (
     load_named_code, validate_code,
 )
 from .logdomain import LogScalar
-from .outer_codes import ConstructionError, OuterCode, build_biregular, check_sensitivity, girth
+from .outer_codes import ConstructionError, OuterCode, build_biregular, check_sensitivity
 from .pipeline import (
     HadamardStep, PipelineReport, PreDistillation, ProtocolSpec, SearchError, StageError,
     default_scale_rule, evaluate, search_best,
@@ -335,7 +335,7 @@ def cmd_outer_build(config: dict[str, Any]) -> Output:
         raise InfeasibleError(
             f"{exc}" + ("" if best is None else f" (closest girth reached: {best})")
         ) from exc
-    g = girth(code)
+    g = code.tanner_girth
     results = {
         "a_n": code.num_bits,
         "m": code.num_checks,

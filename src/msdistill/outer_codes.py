@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,8 +37,13 @@ class OuterCode:
         cols_ok = all(c.bit_count() == self.bit_degree for c in m.column_bits())
         return rows_ok and cols_ok
 
+    @cached_property
+    def tanner_girth(self) -> float:
+        """:func:`girth` of the schedule, computed once per code."""
+        return girth(self.matrix)
+
     def to_text(self) -> str:
-        g = girth(self)
+        g = self.tanner_girth
         g_str = "inf" if g == INFINITE_GIRTH else str(g)
         return f"{self.check_degree} {self.bit_degree} {g_str}\n{self.matrix.to_text()}"
 
@@ -111,57 +117,86 @@ class ConstructionError(RuntimeError):
         self.best_girth = best_girth
 
 
-def _peg_attempt(a_n: int, m: int, w: int, s: int, rng: random.Random) -> BinMatrix | None:
-    """One progressive-edge-growth pass; returns None if it gets stuck."""
-    bit_nbrs: list[set[int]] = [set() for _ in range(a_n)]
-    check_nbrs: list[set[int]] = [set() for _ in range(m)]
+def _replay_stream(rng: random.Random) -> np.random.Generator:
+    """A numpy generator whose ``random()`` continues ``rng.random()`` bit for bit.
 
-    def check_distances(bit: int) -> dict[int, int]:
-        # BFS from a bit node; distances to check nodes in the current graph
-        dist_bit = {bit: 0}
-        dist_check: dict[int, int] = {}
-        frontier_bits = [bit]
-        depth = 0
-        while frontier_bits:
-            depth += 1
-            next_checks = []
-            for b in frontier_bits:
-                for c in bit_nbrs[b]:
-                    if c not in dist_check:
-                        dist_check[c] = depth
-                        next_checks.append(c)
-            depth += 1
-            frontier_bits = []
-            for c in next_checks:
-                for b in check_nbrs[c]:
-                    if b not in dist_bit:
-                        dist_bit[b] = depth
-                        frontier_bits.append(b)
-        return dist_check
+    Both are MT19937 turned into 53-bit doubles the same way, so loading the
+    Python state into numpy replays the stream in bulk.
+    """
+    _, state, _ = rng.getstate()
+    bit_generator = np.random.MT19937()
+    bit_generator.state = {
+        "bit_generator": "MT19937",
+        "state": {"key": np.array(state[:-1], dtype=np.uint32), "pos": state[-1]},
+    }
+    return np.random.Generator(bit_generator)
 
+
+def _peg_attempt(
+    a_n: int, m: int, w: int, s: int, rng: random.Random
+) -> tuple[BinMatrix, float] | None:
+    """One progressive-edge-growth pass: (matrix, Tanner girth), or None if it gets stuck.
+
+    Bit by bit, each of its s edges goes to the open check (degree < w, not
+    yet adjacent) farthest from the bit in the current graph, unreached checks
+    first, then the lowest degree, then the lowest draw, then the lowest
+    index. Every open candidate consumes one ``rng.random()`` draw per edge,
+    in ascending check order; the draws are replayed through numpy's MT19937
+    (:func:`_replay_stream`). The girth is derived from PEG itself: an edge
+    to a check at distance d closes a shortest new cycle of length d + 1, so
+    the girth is the minimum of that over edges (inf if no edge closes one).
+    """
+    draws = _replay_stream(rng)
+    n_bytes = (m + 7) // 8
+
+    def members(mask: int) -> np.ndarray:
+        raw = np.frombuffer(mask.to_bytes(n_bytes, "little"), dtype=np.uint8)
+        return np.unpackbits(raw, count=m, bitorder="little").view(bool)
+
+    # Python-int bitmasks: bit -> its checks, check -> its bits, and check ->
+    # the checks that share a bit with it, so the BFS steps check to check
+    bit_checks = [0] * a_n
+    check_bits = [0] * m
+    two_step = [0] * m
+    degree = np.zeros(m, dtype=np.int64)
+    open_checks = (1 << m) - 1
+    tanner_girth = INFINITE_GIRTH
     for bit in range(a_n):
+        placed: list[int] = []
         for _ in range(s):
-            dist_check = check_distances(bit)
-            candidates = [c for c in range(m) if len(check_nbrs[c]) < w and c not in bit_nbrs[bit]]
+            candidates = open_checks & ~bit_checks[bit]
             if not candidates:
                 return None
-            # farthest check first (unreached counts as infinitely far), then
-            # lowest current degree, then seeded random tie-break
-            scored = [
-                (-(dist_check.get(c, m * a_n + 1)), len(check_nbrs[c]), rng.random(), c)
-                for c in candidates
-            ]
-            _, _, _, chosen = min(scored)
-            bit_nbrs[bit].add(chosen)
-            check_nbrs[chosen].add(bit)
-
-    rows = []
-    for c in range(m):
-        word = 0
-        for b in check_nbrs[c]:
-            word |= 1 << b
-        rows.append(word)
-    return BinMatrix(m, a_n, tuple(rows))
+            # BFS by check distance 1, 3, 5, ..., stopping at the level that
+            # reaches the last candidate or when nothing new is reached
+            reached = level = bit_checks[bit]
+            dist = 1
+            while candidates & ~reached:
+                step = 0
+                for c in members(level).nonzero()[0].tolist():
+                    step |= two_step[c]
+                level = step & ~reached
+                if not level:
+                    level, dist = candidates & ~reached, INFINITE_GIRTH
+                    break
+                reached |= level
+                dist += 2
+            cand = members(candidates).nonzero()[0]
+            r = draws.random(cand.size)
+            key = degree[cand] + w * ~members(level)[cand]
+            chosen = int(cand[np.where(key == key.min(), r, 2.0).argmin()])
+            tanner_girth = min(tanner_girth, dist + 1)
+            chosen_mask = 1 << chosen
+            bit_checks[bit] |= chosen_mask
+            check_bits[chosen] |= 1 << bit
+            two_step[chosen] |= bit_checks[bit]
+            for c in placed:
+                two_step[c] |= chosen_mask
+            placed.append(chosen)
+            degree[chosen] += 1
+            if degree[chosen] == w:
+                open_checks &= ~chosen_mask
+    return BinMatrix(m, a_n, tuple(check_bits)), tanner_girth
 
 
 def build_biregular(
@@ -175,9 +210,13 @@ def build_biregular(
 ) -> OuterCode:
     """Build a (w, s)-biregular outer code with Tanner girth >= girth_target.
 
-    Progressive edge growth with seeded tie-breaking; deterministic for a
-    fixed seed. Raises ConstructionError (carrying the best girth seen) if the
-    retry budget runs out.
+    Progressive edge growth (Hu, Eleftheriou & Arnold 2005) with seeded
+    tie-breaking. Attempt ``a`` draws from ``random.Random(seed * 1_000_003 +
+    a)``, replayed through numpy's MT19937, one draw per open candidate check
+    per edge, so a fixed seed always builds the same code. Each attempt runs
+    to the end; its girth is the one PEG derives (see :func:`_peg_attempt`).
+    Raises ConstructionError (carrying the best girth seen) if the retry
+    budget runs out.
     """
     if w < 1 or s < 1:
         raise ValueError("degrees must be >= 1")
@@ -189,14 +228,13 @@ def build_biregular(
 
     best: float | None = None
     for attempt in range(max_attempts):
-        rng = random.Random(seed * 1_000_003 + attempt)
-        matrix = _peg_attempt(a_n, m, w, s, rng)
-        if matrix is None:
+        built = _peg_attempt(a_n, m, w, s, random.Random(seed * 1_000_003 + attempt))
+        if built is None:
             continue
+        matrix, g = built
         code = OuterCode(matrix, w, s)
         if not code.degree_audit():
             continue
-        g = girth(code)
         if best is None or g > best:
             best = g
         if g >= girth_target:

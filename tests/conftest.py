@@ -7,6 +7,7 @@ no code with the vectorized simulator and enumerator they cross-check.
 from __future__ import annotations
 
 import math
+import random
 from itertools import combinations
 
 from msdistill.fault_sim import ProtocolInstance
@@ -133,6 +134,62 @@ def oracle_sensitivity(
             if acc.bit_count() < s_req:
                 return False, (pattern, weight, acc.bit_count())
     return True, None
+
+
+def oracle_peg_attempt(a_n: int, m: int, w: int, s: int, rng: random.Random) -> BinMatrix | None:
+    """One progressive-edge-growth pass scored as a tuple list; None if it gets stuck.
+
+    Each edge draws ``rng.random()`` once per open, non-adjacent check in
+    ascending order and takes the min of (-distance, degree, draw, check),
+    with unreached checks farther than any reached one.
+    """
+    bit_nbrs: list[set[int]] = [set() for _ in range(a_n)]
+    check_nbrs: list[set[int]] = [set() for _ in range(m)]
+
+    def check_distances(bit: int) -> dict[int, int]:
+        # BFS from a bit node; distances to check nodes in the current graph
+        dist_bit = {bit: 0}
+        dist_check: dict[int, int] = {}
+        frontier_bits = [bit]
+        depth = 0
+        while frontier_bits:
+            depth += 1
+            next_checks = []
+            for b in frontier_bits:
+                for c in bit_nbrs[b]:
+                    if c not in dist_check:
+                        dist_check[c] = depth
+                        next_checks.append(c)
+            depth += 1
+            frontier_bits = []
+            for c in next_checks:
+                for b in check_nbrs[c]:
+                    if b not in dist_bit:
+                        dist_bit[b] = depth
+                        frontier_bits.append(b)
+        return dist_check
+
+    for bit in range(a_n):
+        for _ in range(s):
+            dist_check = check_distances(bit)
+            candidates = [c for c in range(m) if len(check_nbrs[c]) < w and c not in bit_nbrs[bit]]
+            if not candidates:
+                return None
+            scored = [
+                (-(dist_check.get(c, m * a_n + 1)), len(check_nbrs[c]), rng.random(), c)
+                for c in candidates
+            ]
+            _, _, _, chosen = min(scored)
+            bit_nbrs[bit].add(chosen)
+            check_nbrs[chosen].add(bit)
+
+    rows = []
+    for c in range(m):
+        word = 0
+        for b in check_nbrs[c]:
+            word |= 1 << b
+        rows.append(word)
+    return BinMatrix(m, a_n, tuple(rows))
 
 
 def oracle_span(matrix: BinMatrix) -> set[int]:

@@ -1,7 +1,9 @@
+import hashlib
 import math
+import random
 
 import pytest
-from conftest import oracle_sensitivity
+from conftest import oracle_peg_attempt, oracle_sensitivity
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from strategies import bin_matrices, random_matrix
@@ -12,6 +14,8 @@ from msdistill.outer_codes import (
     INFINITE_GIRTH,
     ConstructionError,
     OuterCode,
+    _peg_attempt,
+    _replay_stream,
     build_biregular,
     check_sensitivity,
     girth,
@@ -61,6 +65,67 @@ class TestBuildBiregular:
         different = build_biregular(12, 3, 2, 6, seed=12)
         # not guaranteed distinct, but the pair must at least be valid
         assert different.degree_audit()
+
+
+@st.composite
+def peg_shapes(draw):
+    """(a_n, w, s) with w | a_n * s, up to a_n = 48."""
+    w = draw(st.integers(1, 6))
+    s = draw(st.integers(1, 6))
+    step = w // math.gcd(w, s)
+    return step * draw(st.integers(1, 48 // step)), w, s
+
+
+class TestPegMatchesOracle:
+    """The bulk-draw PEG builds the tuple-list PEG's matrix, and knows its girth."""
+
+    def test_replayed_stream_is_random_random(self):
+        for seed in (0, 1, 1_000_003 * 7 + 3):
+            rng = random.Random(seed)
+            replay = _replay_stream(random.Random(seed)).random(2000).tolist()
+            assert replay == [rng.random() for _ in range(2000)]
+
+    @settings(deadline=None, max_examples=120)
+    @given(peg_shapes(), st.integers(0, 10**6), st.integers(0, 40))
+    # stuck: s = 3 edges per bit but only two checks
+    @example((2, 3, 3), 0, 0)
+    @example((60, 3, 3), 1, 0)
+    def test_same_matrix_and_derived_girth(self, shape, seed, attempt):
+        a_n, w, s = shape
+        m = a_n * s // w
+        stream = seed * 1_000_003 + attempt
+        expected = oracle_peg_attempt(a_n, m, w, s, random.Random(stream))
+        built = _peg_attempt(a_n, m, w, s, random.Random(stream))
+        if expected is None:
+            assert built is None
+            return
+        matrix, tanner_girth = built
+        assert matrix == expected
+        assert tanner_girth == girth(matrix)
+
+
+class TestPinnedSchedules:
+    """Outputs recorded before PEG drew its tie-breaks in bulk; a seed's code must not change."""
+
+    @pytest.mark.parametrize("a_n, digest", [
+        (9, "8a479ec582ea05a8"),
+        (18, "d535ea38db299aa9"),
+        (60, "ca7a454587a964dc"),
+        (240, "14aceeb7ddbab30a"),
+        (600, "3f38ffe98ba8e633"),
+    ])
+    def test_schedule_text(self, a_n, digest):
+        text = build_biregular(a_n, 3, 3, 6, 1).to_text()
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+    def test_construction_error_message(self):
+        with pytest.raises(ConstructionError) as excinfo:
+            build_biregular(4, 2, 2, 10, seed=1, max_attempts=10)
+        assert str(excinfo.value) == (
+            "no (2,2)-biregular graph with girth >= 10 found for a_n=4 "
+            "within 10 attempts (best girth: 8)"
+        )
+        assert excinfo.value.best_girth == 8
 
 
 class TestGirth:
