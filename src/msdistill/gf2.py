@@ -5,12 +5,14 @@ Rows are stored as Python integers (bit ``j`` of a row word is column ``j``).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 SYNDROME_CHUNK_ROWS = 1 << 13  # supports per chunk of low_weight_syndromes
+EXHAUSTIVE_PATTERN_GUARD = 10**7  # most supports an exhaustive search may enumerate
 
 
 @dataclass(frozen=True)
@@ -149,6 +151,11 @@ def row_space(matrix: BinMatrix) -> BinMatrix:
         for col in sorted(set(range(matrix.cols)).difference(pivots))
     )
     return BinMatrix(len(basis), matrix.cols, basis)
+
+
+def support_count(n: int, weight_max: int) -> int:
+    """Supports of weight 1..weight_max among n columns: what low_weight_syndromes yields."""
+    return sum(math.comb(n, j) for j in range(1, weight_max + 1))
 
 
 def low_weight_syndromes(

@@ -4,9 +4,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .gf2 import BinMatrix, is_self_orthogonal, low_weight_syndromes, rank2, row_space
-
-EXHAUSTIVE_DISTANCE_LIMIT = 20
+from .gf2 import (
+    EXHAUSTIVE_PATTERN_GUARD, BinMatrix, is_self_orthogonal, low_weight_syndromes, rank2,
+    row_space, support_count,
+)
 
 
 @dataclass(frozen=True)
@@ -108,18 +109,25 @@ def min_distance_css(check: BinMatrix) -> int:
     Takes supports by weight from :func:`gf2.low_weight_syndromes` over the check
     rows, padded to whole words, stacked on the row space's parity checks: a
     support with zero check bits and a nonzero parity-check bit is a logical.
-    Refuses above EXHAUSTIVE_DISTANCE_LIMIT columns; returns cols+1 when no
-    logical operator exists (k = 0 codes).
+    Refuses to start a weight that would take the support count past
+    EXHAUSTIVE_PATTERN_GUARD; returns cols+1 when no logical operator exists
+    (k = 0 codes).
     """
     n = check.cols
-    if n > EXHAUSTIVE_DISTANCE_LIMIT:
-        raise ValueError(f"exhaustive distance limited to {EXHAUSTIVE_DISTANCE_LIMIT} columns")
+    budget = next(
+        (w - 1 for w in range(1, n + 1) if support_count(n, w) > EXHAUSTIVE_PATTERN_GUARD), n
+    )
     words = (check.rows + 63) // 64
     rows = check.row_bits + (0,) * (64 * words - check.rows) + row_space(check).row_bits
-    for supports, syndromes in low_weight_syndromes(BinMatrix(len(rows), n, rows), n):
+    for supports, syndromes in low_weight_syndromes(BinMatrix(len(rows), n, rows), budget):
         logical = ~syndromes[:, :words].any(axis=1) & syndromes[:, words:].any(axis=1)
         if logical.any():
             return supports.shape[1]
+    if budget < n:
+        raise ValueError(
+            f"{support_count(n, budget + 1)} supports up to weight {budget + 1} "
+            f"exceed the exhaustive guard ({EXHAUSTIVE_PATTERN_GUARD})"
+        )
     return n + 1
 
 
@@ -148,13 +156,12 @@ def validate_code(code: WeaklySelfDualCode) -> ValidationReport:
     if check.cols != params.n_q:
         k_ok = False
         notes.append(f"matrix width {check.cols} != n_q {params.n_q}")
-    if params.n_q <= EXHAUSTIVE_DISTANCE_LIMIT:
-        measured = min_distance_css(check)
-        dist_ok: bool | None = measured >= params.d_q
-    else:
+    try:
+        measured: int | None = min_distance_css(check)
+    except ValueError as exc:
         measured = None
-        dist_ok = None
-        notes.append("distance unverified (exhaustive regime is n <= 20)")
+        notes.append(f"distance unverified ({exc})")
+    dist_ok = None if measured is None else measured >= params.d_q
     return ValidationReport(ortho, k_ok, dist_ok, measured, tuple(notes))
 
 

@@ -8,11 +8,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .gf2 import BinMatrix, low_weight_syndromes
+from .gf2 import EXHAUSTIVE_PATTERN_GUARD, BinMatrix, low_weight_syndromes, support_count
 from .inner_codes import CssCodeParams
 
 INFINITE_GIRTH = math.inf
-EXHAUSTIVE_PATTERN_GUARD = 10**7
 
 
 @dataclass(frozen=True)
@@ -63,51 +62,33 @@ class SensitivityWitness:
     violated_checks: int
 
 
-def _adjacency(matrix: BinMatrix) -> tuple[list[list[int]], list[list[int]]]:
-    bit_nbrs: list[list[int]] = [[] for _ in range(matrix.cols)]
-    check_nbrs: list[list[int]] = [[] for _ in range(matrix.rows)]
-    for j, row in enumerate(matrix.row_bits):
-        while row:
-            low = row & -row
-            i = low.bit_length() - 1
-            bit_nbrs[i].append(j)
-            check_nbrs[j].append(i)
-            row ^= low
-    return bit_nbrs, check_nbrs
-
-
 def girth(code: OuterCode | BinMatrix) -> float:
-    """Shortest cycle length of the Tanner graph; inf for forests."""
+    """Shortest cycle length of the Tanner graph; inf for forests.
+
+    Every cycle holds a check, so a level-synchronous BFS runs from each check
+    over packed masks (check -> bits, bit -> checks). The first level L at
+    which an unseen vertex is reached from two frontier vertices closes a
+    cycle of length at most 2L, and a check on a shortest cycle meets it.
+    """
     matrix = code.matrix if isinstance(code, OuterCode) else code
-    bit_nbrs, check_nbrs = _adjacency(matrix)
-    n_bits, n_checks = matrix.cols, matrix.rows
-    total = n_bits + n_checks
-
-    def neighbors(v: int) -> list[int]:
-        if v < n_bits:
-            return [n_bits + c for c in bit_nbrs[v]]
-        return check_nbrs[v - n_bits]
-
+    neighbors = (matrix.row_bits, matrix.column_bits())  # by side: checks, bits
     best = INFINITE_GIRTH
-    for start in range(total):
-        dist = {start: 0}
-        parent = {start: -1}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in neighbors(u):
-                    if v == parent[u]:
-                        continue
-                    if v in dist:
-                        best = min(best, dist[u] + dist[v] + 1)
-                    else:
-                        dist[v] = dist[u] + 1
-                        parent[v] = u
-                        nxt.append(v)
-            if 2 * (dist[frontier[0]] + 1) >= best:
-                break
-            frontier = nxt
+    for start in range(matrix.rows):
+        seen, frontier, side, level = [1 << start, 0], 1 << start, 0, 0
+        while frontier and 2 * level + 2 < best:
+            level += 1
+            once = twice = 0
+            while frontier:
+                low = frontier & -frontier
+                mask = neighbors[side][low.bit_length() - 1]
+                twice |= once & mask
+                once |= mask
+                frontier ^= low
+            side ^= 1
+            if twice & ~seen[side]:
+                best = 2 * level
+            frontier = once & ~seen[side]
+            seen[side] |= frontier
     return best
 
 
@@ -256,7 +237,7 @@ def check_sensitivity(
     weights in ascending order and the supports of one weight in lexicographic
     order. Raises ValueError above EXHAUSTIVE_PATTERN_GUARD patterns.
     """
-    n_patterns = sum(math.comb(matrix.cols, j) for j in range(1, d_tilde + 1))
+    n_patterns = support_count(matrix.cols, d_tilde)
     if n_patterns > EXHAUSTIVE_PATTERN_GUARD:
         raise ValueError(
             f"{n_patterns} patterns exceed the exhaustive guard "

@@ -192,6 +192,53 @@ def oracle_peg_attempt(a_n: int, m: int, w: int, s: int, rng: random.Random) -> 
     return BinMatrix(m, a_n, tuple(rows))
 
 
+def _adjacency(matrix: BinMatrix) -> tuple[list[list[int]], list[list[int]]]:
+    bit_nbrs: list[list[int]] = [[] for _ in range(matrix.cols)]
+    check_nbrs: list[list[int]] = [[] for _ in range(matrix.rows)]
+    for j, row in enumerate(matrix.row_bits):
+        while row:
+            low = row & -row
+            i = low.bit_length() - 1
+            bit_nbrs[i].append(j)
+            check_nbrs[j].append(i)
+            row ^= low
+    return bit_nbrs, check_nbrs
+
+
+def oracle_girth(matrix: BinMatrix) -> float:
+    """Shortest Tanner-graph cycle by a dict BFS from every vertex; inf for forests."""
+    bit_nbrs, check_nbrs = _adjacency(matrix)
+    n_bits, n_checks = matrix.cols, matrix.rows
+    total = n_bits + n_checks
+
+    def neighbors(v: int) -> list[int]:
+        if v < n_bits:
+            return [n_bits + c for c in bit_nbrs[v]]
+        return check_nbrs[v - n_bits]
+
+    best = math.inf
+    for start in range(total):
+        dist = {start: 0}
+        parent = {start: -1}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in neighbors(u):
+                    if v == parent[u]:
+                        continue
+                    if v in dist:
+                        best = min(best, dist[u] + dist[v] + 1)
+                    else:
+                        dist[v] = dist[u] + 1
+                        parent[v] = u
+                        nxt.append(v)
+            if 2 * (dist[frontier[0]] + 1) >= best:
+                break
+            frontier = nxt
+    return best
+
+
 def oracle_span(matrix: BinMatrix) -> set[int]:
     """Every packed vector in the row span, by a plain loop over the rows."""
     span = {0}

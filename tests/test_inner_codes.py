@@ -6,7 +6,9 @@ from conftest import oracle_min_distance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msdistill.gf2 import BinMatrix, is_self_orthogonal
+from msdistill.gf2 import (
+    EXHAUSTIVE_PATTERN_GUARD, BinMatrix, is_self_orthogonal, rank2, support_count,
+)
 from msdistill.inner_codes import (
     RM15,
     STEANE,
@@ -27,6 +29,10 @@ from msdistill.inner_codes import (
 SELF_ORTHOGONAL_BASES = (
     STEANE.check, RM15.check, BinMatrix.from_text("11110000\n00111100\n00001111\n01010101"),
 )
+
+# [[23,1,7]] Golay code: rows x^i (1+x) g(x), i = 0..10, with g(x) = x^11+x^10+x^6+x^5+x^4+x^2+1
+_GOLAY_G = sum(1 << e for e in (11, 10, 6, 5, 4, 2, 0))
+GOLAY_CHECK = BinMatrix(11, 23, tuple((_GOLAY_G ^ _GOLAY_G << 1) << i for i in range(11)))
 
 
 @st.composite
@@ -144,11 +150,17 @@ class TestValidateCode:
         assert not report.all_passed
 
     def test_large_code_marked_unverified(self):
-        params = CssCodeParams(30, 2, 3)
-        code = WeaklySelfDualCode(params, BinMatrix(14, 30, (0,) * 14))
+        # identity(60) has no logical; its search crosses the guard at weight 6
+        code = WeaklySelfDualCode(CssCodeParams(60, 2, 3), BinMatrix.identity(60))
         report = validate_code(code)
         assert report.distance_ok is None
+        assert report.measured_distance is None
         assert any("unverified" in note for note in report.notes)
+
+    def test_golay_verified_beyond_twenty_columns(self):
+        report = validate_code(WeaklySelfDualCode(CssCodeParams(23, 1, 7), GOLAY_CHECK))
+        assert report.all_passed
+        assert report.measured_distance == 7
 
 
 class TestMinDistance:
@@ -163,8 +175,16 @@ class TestMinDistance:
         assert min_distance_css(BinMatrix.from_rows([[1, 1]])) == 3
 
     def test_size_guard(self):
-        with pytest.raises(ValueError):
-            min_distance_css(BinMatrix(1, 21, (0,)))
+        # weights 1..5 of 60 columns take 5,985,197 supports; weight 6 would pass 10^7
+        assert support_count(60, 5) <= EXHAUSTIVE_PATTERN_GUARD < support_count(60, 6)
+        message = "^56049057 supports up to weight 6 exceed the exhaustive guard"
+        with pytest.raises(ValueError, match=message):
+            min_distance_css(BinMatrix.identity(60))
+
+    def test_golay(self):
+        assert is_self_orthogonal(GOLAY_CHECK)
+        assert rank2(GOLAY_CHECK) == 11
+        assert min_distance_css(GOLAY_CHECK) == 7
 
     @pytest.mark.parametrize("code", [STEANE, RM15], ids=["steane", "rm15"])
     def test_library_codes_match_brute_force(self, code):

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from conftest import oracle_peg_attempt, oracle_sensitivity
+from conftest import oracle_girth, oracle_peg_attempt, oracle_sensitivity
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from strategies import bin_matrices, random_matrix
@@ -101,7 +101,7 @@ class TestPegMatchesOracle:
             return
         matrix, tanner_girth = built
         assert matrix == expected
-        assert tanner_girth == girth(matrix)
+        assert tanner_girth == oracle_girth(matrix)
 
 
 class TestPinnedSchedules:
@@ -139,6 +139,57 @@ class TestGirth:
         # three bits and three checks in a single 6-cycle
         matrix = BinMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
         assert girth(matrix) == 6
+
+    @pytest.mark.parametrize("a_n, expected", [(9, 6), (18, 6), (60, 8), (240, 10), (600, 8)])
+    def test_pinned_schedules(self, a_n, expected):
+        matrix = build_biregular(a_n, 3, 3, 6, 1).matrix
+        assert girth(matrix) == oracle_girth(matrix) == expected
+
+
+def sparse_rows(rng: random.Random, n_rows: int, cols: int) -> list[int]:
+    """Packed rows of one to three distinct random columns each, capped at cols."""
+    weights = [min(cols, rng.randint(1, 3)) for _ in range(n_rows)]
+    return [sum(1 << j for j in rng.sample(range(cols), k)) for k in weights]
+
+
+@st.composite
+def tanner_matrices(draw):
+    """bin_matrices up to 12 x 24, some made sparse, some with a row or a column repeated."""
+    matrix = draw(bin_matrices(max_rows=12, max_cols=24))
+    rows, cols = list(matrix.row_bits), matrix.cols
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        rows = sparse_rows(rng, len(rows), cols)
+    if rows and draw(st.integers(0, 3)) == 0:
+        rows.append(rows[draw(st.integers(0, len(rows) - 1))])
+    if cols and draw(st.integers(0, 3)) == 0:
+        j = draw(st.integers(0, cols - 1))
+        rows = [r | ((r >> j) & 1) << cols for r in rows]
+        cols += 1
+    return BinMatrix(len(rows), cols, tuple(rows))
+
+
+class TestGirthMatchesOracle:
+    """The bitmask BFS from each check finds the dict BFS's girth."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(tanner_matrices())
+    @example(BinMatrix(0, 24, ()))
+    @example(BinMatrix(12, 0, (0,) * 12))
+    @example(BinMatrix.from_rows([[1, 1, 0], [1, 1, 0]]))  # repeated rows
+    @example(BinMatrix.from_rows([[1, 1, 0], [1, 1, 1]]))  # repeated columns
+    def test_random_matrices(self, matrix):
+        assert girth(matrix) == oracle_girth(matrix)
+
+    def test_sparse_graphs_reach_long_cycles(self):
+        rng = random.Random(0)
+        found = set()
+        for _ in range(500):
+            matrix = BinMatrix(12, 24, tuple(sparse_rows(rng, 12, 24)))
+            g = girth(matrix)
+            assert g == oracle_girth(matrix)
+            found.add(g)
+        assert {4, 6, 8, 10, INFINITE_GIRTH} <= found
 
 
 class TestSensitivity:
