@@ -23,12 +23,10 @@ from .analytics import (
 )
 from .comparison import figure2_dataset, qag_baseline_rate, qag_params
 from .fault_sim import (
-    FaultAssignment,
     ProtocolInstance,
     SimReport,
     min_undetected_weight,
     monte_carlo,
-    run_check,
 )
 from .gf2 import BinMatrix, is_self_orthogonal, mul2, rank2
 from .inner_codes import (
@@ -54,7 +52,6 @@ __all__ = [
     "__version__",
     "BinMatrix",
     "CssCodeParams",
-    "FaultAssignment",
     "HadamardStep",
     "LogScalar",
     "OuterCode",
@@ -82,7 +79,6 @@ __all__ = [
     "qag_baseline_rate",
     "qag_params",
     "rank2",
-    "run_check",
     "search_best",
     "t_exponent",
     "validate_code",

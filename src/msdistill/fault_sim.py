@@ -5,12 +5,12 @@ physical qubit in every check. A check rejects on a detectable residual, flips
 its outcome when a qubit has both slots faulty, and is corrupted by a logical
 residual: weight >= d (idealized mode) or outside the row space (exact mode).
 
-One vectorized verdict decides every check from a fault list of (trial,
-site) pairs: ``run_check`` passes one trial's faults, ``min_undetected_weight``
-a batch of candidates. The Monte Carlo sampler draws only the faulty sites
-(the gaps between faults are geometric), so its cost, memory included,
-scales with trials x sites x eps and no trial x site grid is built. A
-fault-free trial is accepted and not erroneous.
+Faults have one format: a list of (trial, site) pairs, sorted. One vectorized
+verdict decides every check from such a list; the Monte Carlo sampler passes
+the trials it drew, ``min_undetected_weight`` a batch of candidates. The
+sampler draws only the faulty sites (the gaps between faults are geometric),
+so its cost, memory included, scales with trials x sites x eps and no trial x
+site grid is built. A fault-free trial is accepted and not erroneous.
 """
 from __future__ import annotations
 
@@ -24,14 +24,12 @@ from typing import Iterator
 import numpy as np
 
 from .analytics import hadamard_step_counts
-from .gf2 import BinMatrix, row_space
+from .gf2 import BinMatrix, exhaustive_guard, row_space
 from .inner_codes import CssCodeParams, WeaklySelfDualCode
 from .outer_codes import OuterCode, check_sensitivity
 
 DEFAULT_BLOCK_SIZE = 1 << 16
 MAX_CHUNK_FAULTS = 1 << 16
-ENUMERATION_SITE_GUARD = 64
-ENUMERATION_WEIGHT_GUARD = 6
 
 
 @dataclass(frozen=True)
@@ -64,45 +62,6 @@ class ProtocolInstance:
     @property
     def fault_sites(self) -> int:
         return hadamard_step_counts(self.inner.params, self.num_data, self.num_checks)
-
-
-@dataclass(frozen=True)
-class FaultAssignment:
-    """Concrete fault pattern: data flips plus per-check, per-qubit slot faults."""
-
-    data: np.ndarray  # (a_n,) 0/1
-    slots: np.ndarray  # (m, n_q, 2) 0/1
-
-
-@dataclass(frozen=True)
-class CheckVerdict:
-    rejected: bool
-    outcome: int
-    corrupted: bool
-
-
-def run_check(
-    instance: ProtocolInstance, check_index: int, faults: FaultAssignment, mode: str = "idealized"
-) -> CheckVerdict:
-    """Evaluate one check of the schedule against a fault assignment.
-
-    This is the Monte Carlo verdict on one trial's fault list. Idealized
-    mode uses only the inner distance: a residual of weight 1..d-1 rejects,
-    weight >= d is a logical-corruption event. Exact mode computes the
-    residual's syndrome against the inner check matrix. A rejected check
-    reads (True, 0, False). Fault arrays not shaped for the instance are refused.
-    """
-    shapes = ((instance.num_data,), (instance.num_checks, instance.inner.params.n_q, 2))
-    if (faults.data.shape, faults.slots.shape) != shapes:
-        raise ValueError(
-            f"fault shapes data {faults.data.shape}, slots {faults.slots.shape} do not "
-            f"match the instance's data {shapes[0]}, slots {shapes[1]}"
-        )
-    site = np.flatnonzero(np.concatenate((faults.data, faults.slots.reshape(-1))))
-    rejected, flipped, corrupt = _verdicts(_Kernel.build(instance, mode), np.zeros_like(site), site)
-    if check_index in rejected:
-        return CheckVerdict(True, 0, False)
-    return CheckVerdict(False, int(check_index in flipped), bool(check_index in corrupt))
 
 
 def _wilson_interval(successes: int, total: int) -> tuple[float | None, float, float]:
@@ -343,6 +302,8 @@ def monte_carlo(
         raise ValueError("trials must be >= 1")
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
+    if workers is not None and workers < 1:
+        raise ValueError("workers must be >= 1")
     if corruption not in ("erroneous", "reject"):
         raise ValueError(f"unknown corruption convention {corruption!r}")
 
@@ -409,13 +370,9 @@ def min_undetected_weight(instance: ProtocolInstance, weight_max: int) -> int | 
     Enumerates data patterns by ascending weight; each one that could still
     win becomes a candidate assignment that hides every violated check with a
     slot double on its first qubit. The candidates of one weight are verified
-    together by the check verdict. Guarded to desk scale.
+    together by the check verdict. Refuses, through :func:`gf2.exhaustive_guard`,
+    to start a weight whose data patterns would pass the guard.
     """
-    if instance.fault_sites > ENUMERATION_SITE_GUARD and weight_max > ENUMERATION_WEIGHT_GUARD:
-        raise ValueError(
-            f"enumeration guard: need fault sites <= {ENUMERATION_SITE_GUARD} "
-            f"or weight_max <= {ENUMERATION_WEIGHT_GUARD}"
-        )
     a_n = instance.num_data
     n_q = instance.inner.params.n_q
     cols = instance.outer.matrix.column_bits()
@@ -425,6 +382,7 @@ def min_undetected_weight(instance: ProtocolInstance, weight_max: int) -> int | 
     for weight in range(1, min(weight_max, a_n) + 1):
         if best is not None and weight >= best:
             break
+        exhaustive_guard(a_n, weight)
         candidates, costs = [], []
         for support in combinations(range(a_n), weight):
             acc = 0

@@ -158,16 +158,29 @@ def support_count(n: int, weight_max: int) -> int:
     return sum(math.comb(n, j) for j in range(1, weight_max + 1))
 
 
+def exhaustive_guard(n: int, weight_max: int) -> None:
+    """Raise ValueError when the supports up to weight_max pass EXHAUSTIVE_PATTERN_GUARD."""
+    count = support_count(n, weight_max)
+    if count > EXHAUSTIVE_PATTERN_GUARD:
+        raise ValueError(
+            f"{count} supports up to weight {weight_max} exceed the exhaustive guard "
+            f"({EXHAUSTIVE_PATTERN_GUARD})"
+        )
+
+
 def low_weight_syndromes(
     matrix: BinMatrix, weight_max: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Every support of weight 1..weight_max with the XOR of its columns, by weight.
 
     Yields chunks of at most SYNDROME_CHUNK_ROWS ``(supports, syndromes)`` rows
-    in ``itertools.combinations`` order: (rows, w) column indices and (rows,
-    words) uint64, bit ``i % 64`` of word ``i // 64`` being matrix row ``i``.
-    Weight w extends the stored weight-(w-1) prefixes by every larger index,
-    so memory stays near C(cols, w-1) prefixes plus one chunk.
+    in ``itertools.combinations`` order: (rows, w) column indices of the
+    smallest unsigned type that holds cols, and (rows, words) uint64, bit
+    ``i % 64`` of word ``i // 64`` being matrix row ``i``. Weight w extends the
+    stored weight-(w-1) prefixes by every larger index, so memory stays near
+    C(cols, w-1) prefixes plus one chunk. Raises ValueError, through
+    :func:`exhaustive_guard`, before starting a weight that would take the
+    support count past EXHAUSTIVE_PATTERN_GUARD.
     """
     n, words = matrix.cols, (matrix.rows + 63) // 64
     mask = (1 << 64) - 1
@@ -175,10 +188,12 @@ def low_weight_syndromes(
         [[(c >> (64 * k)) & mask for k in range(words)] for c in matrix.column_bits()],
         dtype=np.uint64,
     ).reshape(n, words)
-    prefixes = np.zeros((1, 0), dtype=np.intp)  # the empty support
+    index_type = np.min_scalar_type(n)
+    prefixes = np.zeros((1, 0), dtype=index_type)  # the empty support
     prefix_syndromes = np.zeros((1, words), dtype=np.uint64)
-    last = np.array([-1])
+    last = np.array([-1])  # kept intp: an unsigned last mixes into float cumsums
     for weight in range(1, min(weight_max, n) + 1):
+        exhaustive_guard(n, weight)
         counts = n - 1 - last  # extensions of each prefix by a larger index
         ends = np.cumsum(counts)
         total, keep = int(ends[-1]), weight < weight_max
@@ -187,7 +202,7 @@ def low_weight_syndromes(
             flat = np.arange(start, min(start + SYNDROME_CHUNK_ROWS, total))
             parent = np.searchsorted(ends, flat, side="right")
             index = last[parent] + 1 + flat - (ends[parent] - counts[parent])
-            supports = np.column_stack((prefixes[parent], index))
+            supports = np.column_stack((prefixes[parent], index.astype(index_type)))
             syndromes = prefix_syndromes[parent] ^ columns[index]
             if keep:
                 level.append(supports)
@@ -196,4 +211,4 @@ def low_weight_syndromes(
         if keep:
             prefixes = np.concatenate(level)
             prefix_syndromes = np.concatenate(level_syndromes)
-            last = prefixes[:, -1]
+            last = prefixes[:, -1].astype(np.intp)

@@ -4,10 +4,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .gf2 import (
-    EXHAUSTIVE_PATTERN_GUARD, BinMatrix, is_self_orthogonal, low_weight_syndromes, rank2,
-    row_space, support_count,
-)
+from .gf2 import BinMatrix, is_self_orthogonal, low_weight_syndromes, rank2, row_space
 
 
 @dataclass(frozen=True)
@@ -109,25 +106,17 @@ def min_distance_css(check: BinMatrix) -> int:
     Takes supports by weight from :func:`gf2.low_weight_syndromes` over the check
     rows, padded to whole words, stacked on the row space's parity checks: a
     support with zero check bits and a nonzero parity-check bit is a logical.
-    Refuses to start a weight that would take the support count past
-    EXHAUSTIVE_PATTERN_GUARD; returns cols+1 when no logical operator exists
-    (k = 0 codes).
+    The enumerator refuses to start a weight that would take the support count
+    past EXHAUSTIVE_PATTERN_GUARD; returns cols+1 when no logical operator
+    exists (k = 0 codes).
     """
     n = check.cols
-    budget = next(
-        (w - 1 for w in range(1, n + 1) if support_count(n, w) > EXHAUSTIVE_PATTERN_GUARD), n
-    )
     words = (check.rows + 63) // 64
     rows = check.row_bits + (0,) * (64 * words - check.rows) + row_space(check).row_bits
-    for supports, syndromes in low_weight_syndromes(BinMatrix(len(rows), n, rows), budget):
+    for supports, syndromes in low_weight_syndromes(BinMatrix(len(rows), n, rows), n):
         logical = ~syndromes[:, :words].any(axis=1) & syndromes[:, words:].any(axis=1)
         if logical.any():
             return supports.shape[1]
-    if budget < n:
-        raise ValueError(
-            f"{support_count(n, budget + 1)} supports up to weight {budget + 1} "
-            f"exceed the exhaustive guard ({EXHAUSTIVE_PATTERN_GUARD})"
-        )
     return n + 1
 
 

@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gf2 import EXHAUSTIVE_PATTERN_GUARD, BinMatrix, low_weight_syndromes, support_count
+from .gf2 import BinMatrix, exhaustive_guard, low_weight_syndromes
 from .inner_codes import CssCodeParams
 
 INFINITE_GIRTH = math.inf
@@ -235,14 +235,10 @@ def check_sensitivity(
     Enumerates every pattern through :func:`gf2.low_weight_syndromes`, so a
     True verdict is a proof. The witness is the first failing pattern, taking
     weights in ascending order and the supports of one weight in lexicographic
-    order. Raises ValueError above EXHAUSTIVE_PATTERN_GUARD patterns.
+    order. Refuses up front, through :func:`gf2.exhaustive_guard`, when the
+    patterns up to weight d_tilde pass the guard.
     """
-    n_patterns = support_count(matrix.cols, d_tilde)
-    if n_patterns > EXHAUSTIVE_PATTERN_GUARD:
-        raise ValueError(
-            f"{n_patterns} patterns exceed the exhaustive guard "
-            f"({EXHAUSTIVE_PATTERN_GUARD}); lower d_tilde or check a smaller schedule"
-        )
+    exhaustive_guard(matrix.cols, d_tilde)
     for supports, syndromes in low_weight_syndromes(matrix, d_tilde):
         violated = np.bitwise_count(syndromes).sum(axis=1, dtype=np.int64)
         failing = np.flatnonzero(violated < s_req)

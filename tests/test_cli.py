@@ -333,6 +333,12 @@ class TestSimulate:
         assert main(argv) == EXIT_INFEASIBLE
         assert capsys.readouterr().err == "infeasible: block_size must be >= 1\n"
 
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_nonpositive_workers_exit_two(self, capsys, workers):
+        argv = ["simulate", "--eps", "0.01", "--trials", "10", "--workers", workers]
+        assert main(argv) == EXIT_INFEASIBLE
+        assert capsys.readouterr().err == "infeasible: workers must be >= 1\n"
+
     def test_slope_fit_without_events_hints_at_trials(self, capsys):
         argv = ["simulate", "--eps", "1e-6,2e-6", "--trials", "10"]
         assert main(argv) == EXIT_INFEASIBLE

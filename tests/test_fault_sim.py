@@ -1,6 +1,8 @@
 import math
 import random
+import time
 import tracemalloc
+from collections import namedtuple
 from itertools import combinations
 
 import numpy as np
@@ -16,7 +18,6 @@ from conftest import (
 )
 from msdistill.fault_sim import (
     MAX_CHUNK_FAULTS,
-    FaultAssignment,
     ProtocolInstance,
     SimReport,
     _fault_positions,
@@ -26,7 +27,6 @@ from msdistill.fault_sim import (
     make_single_check_instance,
     min_undetected_weight,
     monte_carlo,
-    run_check,
 )
 from msdistill.gf2 import BinMatrix
 from msdistill.inner_codes import RM15, STEANE, CssCodeParams, WeaklySelfDualCode
@@ -43,64 +43,63 @@ def steane_identity_instance() -> ProtocolInstance:
     return ProtocolInstance(STEANE, IDENTITY_OUTER, strict=False)
 
 
-def assignment(instance, data=(), slots=()):
-    """slots entries are (check, qubit, slot) triples."""
-    d = np.zeros(instance.num_data, dtype=np.uint8)
-    for i in data:
-        d[i] = 1
-    s = np.zeros((instance.num_checks, instance.inner.params.n_q, 2), dtype=np.uint8)
-    for j, q, t in slots:
-        s[j, q, t] = 1
-    return FaultAssignment(d, s)
+Verdict = namedtuple("Verdict", "rejected outcome corrupted")
 
 
-class TestRunCheck:
+def verdict(instance, check, mode="idealized", data=(), slots=()):
+    """One check's verdict on one trial's faults; slots entries are (check, qubit, slot) triples.
+
+    The faults go to the check verdict as a sorted site list; a rejected check
+    reads (True, 0, False).
+    """
+    n_q = instance.inner.params.n_q
+    site = sorted([*data, *(instance.num_data + 2 * (j * n_q + q) + t for j, q, t in slots)])
+    site = np.array(site, dtype=np.int64)
+    kernel = _Kernel.build(instance, mode)
+    rejected, flipped, corrupt = _verdicts(kernel, np.zeros_like(site), site)
+    if check in rejected:
+        return Verdict(True, 0, False)
+    return Verdict(False, int(check in flipped), bool(check in corrupt))
+
+
+class TestCheckVerdict:
     def test_no_faults(self):
         inst = steane_identity_instance()
-        verdict = run_check(inst, 0, assignment(inst))
-        assert not verdict.rejected and verdict.outcome == 0 and not verdict.corrupted
+        v = verdict(inst, 0)
+        assert not v.rejected and v.outcome == 0 and not v.corrupted
 
     @pytest.mark.parametrize("mode", ["idealized", "exact"])
     def test_single_slot_fault_rejects(self, mode):
         inst = steane_identity_instance()
-        verdict = run_check(inst, 0, assignment(inst, slots=[(0, 3, 0)]), mode)
-        assert verdict.rejected
+        assert verdict(inst, 0, mode, slots=[(0, 3, 0)]).rejected
 
     @pytest.mark.parametrize("mode", ["idealized", "exact"])
     def test_double_slot_flips_outcome(self, mode):
         inst = steane_identity_instance()
-        faults = assignment(inst, slots=[(0, 3, 0), (0, 3, 1)])
-        verdict = run_check(inst, 0, faults, mode)
-        assert not verdict.rejected and verdict.outcome == 1
+        v = verdict(inst, 0, mode, slots=[(0, 3, 0), (0, 3, 1)])
+        assert not v.rejected and v.outcome == 1
 
     def test_data_flip_flips_outcome(self):
         inst = steane_identity_instance()
-        verdict = run_check(inst, 2, assignment(inst, data=[2]))
-        assert verdict.outcome == 1
+        assert verdict(inst, 2, data=[2]).outcome == 1
         # a check not covering the flipped state is unaffected
-        assert run_check(inst, 1, assignment(inst, data=[2])).outcome == 0
+        assert verdict(inst, 1, data=[2]).outcome == 0
 
     def test_heavy_residual_marks_corruption(self):
         inst = steane_identity_instance()
-        faults = assignment(inst, slots=[(0, 0, 0), (0, 1, 0), (0, 2, 0)])
-        verdict = run_check(inst, 0, faults)
-        assert not verdict.rejected and verdict.corrupted
+        slots = [(0, 0, 0), (0, 1, 0), (0, 2, 0)]
+        v = verdict(inst, 0, slots=slots)
+        assert not v.rejected and v.corrupted
         # positions {0,1,2} form a zero-syndrome logical for this matrix
-        exact = run_check(inst, 0, faults, mode="exact")
+        exact = verdict(inst, 0, "exact", slots=slots)
         assert not exact.rejected and exact.corrupted
 
     def test_stabilizer_residual_not_corrupt_in_exact_mode(self):
         inst = steane_identity_instance()
         row = STEANE.check.row_bits[0]
         slots = [(0, q, 0) for q in range(7) if (row >> q) & 1]
-        faults = assignment(inst, slots=slots)
-        assert run_check(inst, 0, faults, mode="exact").corrupted is False
-        assert run_check(inst, 0, faults, mode="idealized").corrupted is True
-
-    def test_unknown_mode(self):
-        inst = steane_identity_instance()
-        with pytest.raises(ValueError):
-            run_check(inst, 0, assignment(inst), mode="quantum")
+        assert verdict(inst, 0, "exact", slots=slots).corrupted is False
+        assert verdict(inst, 0, "idealized", slots=slots).corrupted is True
 
     def test_modes_agree_on_verdict_up_to_weight_two(self):
         inst = ProtocolInstance(
@@ -113,23 +112,11 @@ class TestRunCheck:
             for chosen in combinations(sites, weight):
                 data = [s[1] for s in chosen if s[0] == "data"]
                 slots = [s[1:] for s in chosen if s[0] == "slot"]
-                faults = assignment(inst, data=data, slots=slots)
-                ideal = run_check(inst, 0, faults, "idealized")
-                exact = run_check(inst, 0, faults, "exact")
+                ideal = verdict(inst, 0, "idealized", data, slots)
+                exact = verdict(inst, 0, "exact", data, slots)
                 assert ideal.rejected == exact.rejected
                 if not ideal.rejected:
                     assert ideal.outcome == exact.outcome
-
-    def test_mismatched_shapes_refused(self):
-        inst = steane_identity_instance()
-        slots = np.zeros((4, 8, 2), dtype=np.uint8)
-        slots[0, 7, 0] = 1  # qubit 7 does not exist in a 7-qubit code
-        for mode in ("idealized", "exact"):
-            with pytest.raises(ValueError, match=r"\(4, 8, 2\).*\(4, 7, 2\)"):
-                run_check(inst, 0, FaultAssignment(np.zeros(4, dtype=np.uint8), slots), mode)
-        short = FaultAssignment(np.zeros(3, dtype=np.uint8), np.zeros((4, 7, 2), dtype=np.uint8))
-        with pytest.raises(ValueError, match=r"\(3,\).*\(4,\)"):
-            run_check(inst, 0, short)
 
 
 class TestExactResiduals:
@@ -162,8 +149,8 @@ class TestExactResiduals:
             ([(0, 0, 0)], (False, True)),  # qubit 0 lies outside every check: a logical
         ]
         for slots, expected in cases:
-            verdict = run_check(inst, 0, assignment(inst, slots=slots), "exact")
-            assert (verdict.rejected, verdict.corrupted) == expected
+            v = verdict(inst, 0, "exact", slots=slots)
+            assert (v.rejected, v.corrupted) == expected
 
 
 @st.composite
@@ -217,8 +204,7 @@ class TestSiteLayout:
         for j in range(3):
             for q in range(7):
                 for t in (0, 1):
-                    faults = assignment(inst, slots=[(j, q, t)])
-                    verdicts = [run_check(inst, k, faults, mode) for k in range(3)]
+                    verdicts = [verdict(inst, k, mode, slots=[(j, q, t)]) for k in range(3)]
                     assert [v.rejected for v in verdicts] == [k == j for k in range(3)]
 
     @pytest.mark.parametrize("mode", ["idealized", "exact"])
@@ -226,8 +212,8 @@ class TestSiteLayout:
         inst = self.instance()
         for j in range(3):
             for q in range(7):
-                faults = assignment(inst, slots=[(j, q, 0), (j, q, 1)])
-                verdicts = [run_check(inst, k, faults, mode) for k in range(3)]
+                slots = [(j, q, 0), (j, q, 1)]
+                verdicts = [verdict(inst, k, mode, slots=slots) for k in range(3)]
                 assert not any(v.rejected or v.corrupted for v in verdicts)
                 assert [v.outcome for v in verdicts] == [int(k == j) for k in range(3)]
 
@@ -480,12 +466,18 @@ class TestMinUndetectedWeight:
         inst = steane_identity_instance()
         assert min_undetected_weight(inst, 2) is None
 
-    def test_guard(self):
+    def test_small_instance_is_answered_past_weight_six(self):
         outer = OuterCode(BinMatrix.identity(8), 1, 1)
         inst = ProtocolInstance(STEANE, outer, strict=False)
-        assert inst.fault_sites > 64
-        with pytest.raises(ValueError):
-            min_undetected_weight(inst, 7)
+        assert min_undetected_weight(inst, 7) == oracle_min_weight(inst, 7)
+
+    def test_guard_refuses_before_enumerating(self):
+        # weight 3 of 600 data states takes 36,000,500 patterns, past the 10^7 guard
+        inst = ProtocolInstance(STEANE, build_biregular(600, 3, 3, 6, 1), strict=False)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^36000500 supports up to weight 3 exceed"):
+            min_undetected_weight(inst, 6)
+        assert time.perf_counter() - start < 1.0
 
     def test_d5_instance_matches_arithmetic_oracle(self):
         # distance-5 synthetic inner; idealized mode never reads the matrix

@@ -165,3 +165,19 @@ class TestLowWeightSyndromes:
         assert [s for s, _ in unpacked(matrix, 9)][-1] == (0, 1, 2, 3)
         assert unpacked(matrix, 0) == []
         assert unpacked(BinMatrix(2, 0, (0,) * 2), 3) == []
+
+    def test_guard_refuses_the_weight_that_passes_it(self):
+        # weights 1..5 of 60 columns take 5,985,197 supports; weight 6 would pass 10^7
+        weights = []
+        message = r"^56049057 supports up to weight 6 exceed the exhaustive guard \(10000000\)$"
+        with pytest.raises(ValueError, match=message):
+            for supports, _ in low_weight_syndromes(BinMatrix.identity(60), 6):
+                if not weights or weights[-1] != supports.shape[1]:
+                    weights.append(supports.shape[1])
+        assert weights == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("cols, index_type", [(255, np.uint8), (256, np.uint16)])
+    def test_supports_use_the_smallest_index_type(self, cols, index_type):
+        matrix = random_matrix(3, cols, seed=5)
+        assert next(low_weight_syndromes(matrix, 1))[0].dtype == index_type
+        assert unpacked(matrix, 2) == oracle_syndromes(matrix, 2)

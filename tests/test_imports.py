@@ -1,10 +1,12 @@
-"""Every name a package module imports is used in that module, and ``__all__`` is exact.
+"""Every name a package module imports is used in that module, ``__all__`` is exact,
+and every exported name has a caller.
 
 No linter ships with the toolchain, so this walks each module's syntax tree:
 an imported name counts as used if the module reads it anywhere, or, in
 ``__init__``, if ``__all__`` lists it.
 """
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,9 @@ import pytest
 import msdistill
 
 MODULES = sorted(Path(msdistill.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+# exported without a caller: gate 08 (the rate-exponent trend) checks it
+UNCALLED_EXPORTS = {"t_exponent"}
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -60,3 +65,28 @@ def test_init_imports_are_exported():
     exported = set(msdistill.__all__)
     unlisted = set(imported_names(ast.parse(init.read_text(encoding="utf-8")))) - exported
     assert not unlisted, f"__init__ imports names __all__ omits: {sorted(unlisted)}"
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Names a tree reads, as a bare name, an attribute, or an imported alias."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_export_has_a_caller():
+    # a public name stays only if the package itself, a demo or the quick start calls it
+    sources = [p.read_text(encoding="utf-8") for p in MODULES if p.name != "__init__.py"]
+    sources += [p.read_text(encoding="utf-8") for p in sorted((ROOT / "demos").glob("*.py"))]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sources += re.findall(r"```python\n(.*?)```", readme, re.S)  # the quick start
+    called = set().union(*(referenced_names(ast.parse(text)) for text in sources))
+    exported = {name for name in msdistill.__all__ if not name.startswith("__")}
+    uncalled = exported - called - UNCALLED_EXPORTS
+    assert not uncalled, f"exported names nothing calls: {sorted(uncalled)}"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,9 +178,19 @@ class TestMinDistance:
     def test_size_guard(self):
         # weights 1..5 of 60 columns take 5,985,197 supports; weight 6 would pass 10^7
         assert support_count(60, 5) <= EXHAUSTIVE_PATTERN_GUARD < support_count(60, 6)
-        message = "^56049057 supports up to weight 6 exceed the exhaustive guard"
+        message = r"^56049057 supports up to weight 6 exceed the exhaustive guard \(10000000\)$"
         with pytest.raises(ValueError, match=message):
             min_distance_css(BinMatrix.identity(60))
+
+    def test_enumeration_memory_stays_small(self):
+        # every support of 20 columns: the weight-10 prefixes held as intp peaked at 49 MB
+        tracemalloc.start()
+        try:
+            assert min_distance_css(BinMatrix.identity(20)) == 21
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24e6
 
     def test_golay(self):
         assert is_self_orthogonal(GOLAY_CHECK)
