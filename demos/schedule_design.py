@@ -1,8 +1,10 @@
 """Designing an outer check schedule and verifying what actually matters.
 
 Builds a (3,3)-biregular 9x9 schedule with girth 6, audits its degrees, then
-verifies sensitivity directly — including a cautionary example showing that a
-girth constraint alone does not guarantee sensitivity.
+verifies sensitivity. Girth > 2*d_tilde together with column weight >= s_req
+is a proof of sensitivity, and ``check_sensitivity`` uses it before it
+enumerates. The cautionary example sits exactly at girth 2*d_tilde, one short
+of what the proof needs, and enumeration finds a pattern that no check sees.
 """
 from msdistill.gf2 import BinMatrix
 from msdistill.outer_codes import OuterCode, build_biregular, check_sensitivity, girth
@@ -19,8 +21,8 @@ def main() -> None:
     ok, witness = check_sensitivity(code.matrix, 2, 2)
     print(f"(2,2)-sensitivity: {ok}")
 
-    # Girth alone is not enough: a (4,2)-biregular graph at girth 8 can hide
-    # a weight-4 pattern along a single 8-cycle. Take the incidence of the
+    # Girth 2*d_tilde is not enough: a (4,2)-biregular graph at girth 8 can
+    # hide a weight-4 pattern along a single 8-cycle. Take the incidence of the
     # complete bipartite graph on 4+4 vertices: 8 checks (the vertices) over
     # 16 states (the edges), Tanner girth exactly 8.
     rows = []
@@ -35,7 +37,8 @@ def main() -> None:
     if witness is not None:
         print(f"  counterexample: pattern {witness.pattern_bits:#x} of weight "
               f"{witness.weight} touches only {witness.violated_checks} check(s)")
-        print("  moral: always verify sensitivity directly; girth is a heuristic.")
+        print("  moral: girth 8 = 2*d_tilde is one short of a proof; girth > 2*d_tilde "
+              "with column weight >= s_req proves sensitivity, anything less is enumerated.")
 
 
 if __name__ == "__main__":

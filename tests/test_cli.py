@@ -124,6 +124,20 @@ class TestOuterCommands:
         assert code == EXIT_INFEASIBLE
         assert "exhaustive guard" in capsys.readouterr().err
 
+    def test_forged_girth_header_is_not_trusted(self, capsys, tmp_path):
+        # K_{4,4} incidence, true girth 8 = 2 * d_tilde, under a header that claims a forest
+        rows = ["".join(str(int(bit // 4 == v)) for bit in range(16)) for v in range(4)]
+        rows += ["".join(str(int(bit % 4 == v)) for bit in range(16)) for v in range(4)]
+        schedule = tmp_path / "forged.txt"
+        schedule.write_text("4 2 inf\n" + "\n".join(rows) + "\n")
+        code, doc = run_json(capsys, ["check-sensitivity", "--matrix-file", str(schedule),
+                                      "--d-tilde", "4", "--s-req", "2"])
+        assert code == EXIT_INFEASIBLE
+        assert doc["results"] == {
+            "sensitive": False,
+            "witness": {"pattern_bits": 0x33, "weight": 4, "violated_checks": 0},
+        }
+
     @pytest.mark.parametrize("flag", [["--mode", "sampled"], ["--samples", "10"], ["--seed", "1"]])
     def test_sampling_options_are_gone(self, capsys, tmp_path, flag):
         schedule = tmp_path / "identity.txt"

@@ -8,12 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from strategies import bin_matrices, random_matrix
 
-from msdistill.gf2 import BinMatrix
+from msdistill.gf2 import BinMatrix, exhaustive_guard
 from msdistill.inner_codes import CssCodeParams
 from msdistill.outer_codes import (
     INFINITE_GIRTH,
     ConstructionError,
     OuterCode,
+    _girth_certifies,
     _peg_attempt,
     _replay_stream,
     build_biregular,
@@ -256,11 +257,14 @@ class TestSensitivityMatchesScalarLoop:
 
 
 class TestGirthSensitivityLink:
-    """Empirical link between girth and sensitivity at desk scale.
+    """Girth and sensitivity at desk scale.
 
-    For d=5 a girth of exactly 2(d-1)=8 still admits an undetected weight-4
-    pattern (a single 8-cycle), so the d=5 instance is built at girth 10;
-    sensitivity itself is always checked directly.
+    Girth > 2*d_tilde with column weight >= s_req (>= 2) is a proof of
+    sensitivity (:func:`_girth_certifies`). For d=5 a girth of exactly
+    2(d-1)=8 still admits an undetected weight-4 pattern (a single 8-cycle),
+    so the d=5 instance is built at girth 10 and the bound certifies it. The
+    d=3 instances have column weight 1, where the bound proves nothing, so
+    they are enumerated.
     """
 
     def test_d3_instances(self):
@@ -269,13 +273,78 @@ class TestGirthSensitivityLink:
         # single-logical-qubit codes occupy
         for a_n in (6, 9, 12):
             code = build_biregular(a_n, 1, 1, 4, seed=a_n)
+            assert not _girth_certifies(code.matrix, 2, 1)
             ok, _ = check_sensitivity(code.matrix, 2, 1)
             assert ok
 
     def test_d5_instance(self):
         code = build_biregular(24, 3, 2, 10, seed=5)
+        assert _girth_certifies(code.matrix, 4, 2)
         ok, _ = check_sensitivity(code.matrix, 4, 2)
         assert ok
+
+
+def column_sparse_matrix(
+    rng: random.Random, rows: int, cols: int, s_lo: int, s_hi: int
+) -> BinMatrix:
+    """Columns of s_lo to s_hi distinct random rows each, capped at rows."""
+    packed = [0] * rows
+    for j in range(cols):
+        for i in rng.sample(range(rows), min(rows, rng.randint(s_lo, s_hi))):
+            packed[i] |= 1 << j
+    return BinMatrix(rows, cols, tuple(packed))
+
+
+@st.composite
+def column_sparse_matrices(draw):
+    """Up to 32 x 12, every column of weight 1 to 4: the shapes the girth bound can certify."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    s_lo = draw(st.integers(1, 3))
+    return column_sparse_matrix(rng, draw(st.integers(1, 32)), draw(st.integers(0, 12)),
+                                s_lo, draw(st.integers(s_lo, 4)))
+
+
+class TestGirthCertificate:
+    """The girth bound certifies only schedules the scalar loop passes."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(column_sparse_matrices(), st.integers(0, 4), st.integers(0, 4))
+    # girth 6 = 2*d_tilde: a 6-cycle of three weight-2 columns cancels
+    @example(BinMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]]), 3, 1)
+    def test_certified_implies_sensitive(self, matrix, d_tilde, s_req):
+        if _girth_certifies(matrix, d_tilde, s_req):
+            assert oracle_sensitivity(matrix, d_tilde, s_req) == (True, None)
+        assert_matches_oracle(matrix, d_tilde, s_req)
+
+    def test_sweep_certifies(self):
+        rng = random.Random(0)
+        certified = dict.fromkeys([(2, 2), (3, 2), (2, 3), (3, 3)], 0)
+        for _ in range(300):
+            matrix = column_sparse_matrix(rng, 30, 8, rng.choice((2, 3)), 3)
+            for d_tilde, s_req in certified:
+                if _girth_certifies(matrix, d_tilde, s_req):
+                    certified[d_tilde, s_req] += 1
+                    assert oracle_sensitivity(matrix, d_tilde, s_req) == (True, None)
+        assert min(certified.values()) >= 20, certified
+
+    def test_scale_past_the_guard(self):
+        # enumerating would be refused; the bound certifies in milliseconds
+        matrix = build_biregular(600, 3, 3, 6, 1).matrix
+        with pytest.raises(ValueError, match=r"^36000500 supports up to weight 3 "):
+            exhaustive_guard(matrix.cols, 3)
+        assert check_sensitivity(matrix, 3, 3) == (True, None)
+
+    def test_girth_at_two_d_tilde_is_enumerated(self):
+        # K_{4,4} incidence: 8 checks over 16 bits, column weight 2, girth 8
+        rows = [[int(bit // 4 == v) for bit in range(16)] for v in range(4)]
+        rows += [[int(bit % 4 == v) for bit in range(16)] for v in range(4)]
+        matrix = BinMatrix.from_rows(rows)
+        assert girth(matrix) == 8
+        assert not _girth_certifies(matrix, 4, 2)
+        assert _girth_certifies(matrix, 3, 2)
+        ok, witness = check_sensitivity(matrix, 4, 2)
+        assert not ok
+        assert (witness.pattern_bits, witness.weight, witness.violated_checks) == (0x33, 4, 0)
 
 
 class TestOuterSize:
