@@ -3,7 +3,7 @@
 Submodules:
 
 - :mod:`msdistill.gf2` — bit-packed GF(2) linear algebra
-- :mod:`msdistill.logdomain` — signed log-domain scalars for extreme underflow
+- :mod:`msdistill.logdomain` — nonnegative log-domain scalars for extreme underflow
 - :mod:`msdistill.inner_codes` — weakly self-dual CSS codes and GV families
 - :mod:`msdistill.outer_codes` — biregular check schedules, girth, sensitivity
 - :mod:`msdistill.analytics` — closed-form rate / error / cost formulas

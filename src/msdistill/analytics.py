@@ -37,30 +37,31 @@ class StageReport:
 
 
 def _as_eps(eps: LogScalar | float) -> LogScalar:
-    eps = LogScalar.coerce(eps)
-    if eps.sign < 0 or eps >= ONE:
+    # a negative float is refused here, before coerce refuses it with a vaguer message
+    if eps < 0 or not (eps := LogScalar.coerce(eps)) < ONE:
         raise ValueError("error rate must satisfy 0 <= eps < 1")
     return eps
 
 
 def predistill_chain(rounds: int, eps0: LogScalar | float) -> StageReport:
-    """rounds iterations of 15->1, via the closed form 35^((3^p-1)/2) eps0^(3^p)."""
+    """rounds iterations of 15->1, each taking eps to 35 eps^3.
+
+    That gives eps_out = 35^((3^p-1)/2) eps0^(3^p), computed round by round:
+    each round's input is checked against threshold and its success
+    probability (1-eps)^15 accumulated. An eps_out whose log10 falls below
+    float range (from about p = 646) is the zero.
+    """
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
-    eps0 = _as_eps(eps0)
-    power = 3**rounds
-    eps_out = (
-        LogScalar.coerce(FIFTEEN_TO_ONE_ERROR_COEFF) ** ((power - 1) / 2.0)
-    ) * eps0**power
+    eps = _as_eps(eps0)
     success = ONE
-    eps = eps0
     for index in range(rounds):
         if not eps < ONE:
             raise ThresholdError(f"15->1 round {index + 1}: input error must be below 1")
         success = success * pow_one_minus(eps, FIFTEEN_TO_ONE_INPUTS)
         eps = LogScalar.coerce(FIFTEEN_TO_ONE_ERROR_COEFF) * eps**3
     inputs = LogScalar.coerce(FIFTEEN_TO_ONE_INPUTS) ** rounds
-    return StageReport("pre_distillation", inputs, eps_out, success)
+    return StageReport("pre_distillation", inputs, eps, success)
 
 
 def hadamard_step_counts(params: CssCodeParams, a_n: int, m: int) -> int:
@@ -89,8 +90,6 @@ def output_error_bound(
 ) -> LogScalar:
     """Union bound C(n', d) eps^d on undetected weight-d fault patterns."""
     eps = _as_eps(eps)
-    if eps.is_zero():
-        return LogScalar(0, 0.0)
     return LogScalar.from_log10(log10_binomial(n_prime, d)) * eps**d
 
 

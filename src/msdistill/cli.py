@@ -221,10 +221,11 @@ def _emit(args: argparse.Namespace, command: Command, config: dict[str, Any], ou
 def _fmt_log10(value: Any) -> float | None:
     """Log-domain magnitudes rounded so serialization is platform-stable.
 
-    A zero, or a non-finite float, is written as null, and -0.0 as 0.0.
+    A non-finite value, such as the log10 of a zero, is written as null, and
+    -0.0 as 0.0.
     """
     if isinstance(value, LogScalar):
-        return None if value.is_zero() else _fmt_log10(value.log10)
+        value = value.log10
     # adding 0.0 turns -0.0 into 0.0
     return round(float(value), 6) + 0.0 if math.isfinite(value) else None
 

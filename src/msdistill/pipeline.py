@@ -77,11 +77,9 @@ class PipelineReport:
         return self.success_prob / self.total_inputs_per_output
 
     def csv_row(self) -> str:
-        def fmt(x: LogScalar) -> str:
-            return "-inf" if x.is_zero() else f"{x.log10:.6f}"
-
         p, r = self.label
-        return f"({p};{r}),{fmt(self.effective_rate)},{fmt(self.eps_out)},{fmt(self.success_prob)}"
+        return (f"({p};{r}),{self.effective_rate.log10:.6f},{self.eps_out.log10:.6f},"
+                f"{self.success_prob.log10:.6f}")
 
 
 class StageError(ValueError):
@@ -112,8 +110,8 @@ def evaluate(spec: ProtocolSpec, *, success_eps: str = "required") -> PipelineRe
         raise ValueError("protocol must have at least one stage")
     if success_eps not in ("required", "achieved"):
         raise ValueError(f"unknown success_eps convention {success_eps!r}")
-    eps = LogScalar.coerce(spec.eps0)
-    if eps.sign < 0 or not eps < ONE:
+    # a negative eps0 is refused here, before coerce refuses it with a vaguer message
+    if spec.eps0 < 0 or not (eps := LogScalar.coerce(spec.eps0)) < ONE:
         raise ValueError("eps0 must satisfy 0 <= eps0 < 1")
 
     trajectory = [eps]
@@ -199,8 +197,7 @@ def search_best(
                 continue
             if not report.effective_rate > rate_floor:
                 continue
-            eps_key = -float("inf") if report.eps_out.is_zero() else report.eps_out.log10
-            key = (eps_key, params.n_q, p)
+            key = (report.eps_out.log10, params.n_q, p)
             if best_key is None or key < best_key:
                 best_key = key
                 best_spec = spec

@@ -223,6 +223,15 @@ class TestAnalyze:
         (row,) = [r for r in doc["results"] if r["series"] == "check_schedule"]
         assert row["log10_rate"] is None
 
+    def test_chain_below_float_log_range_is_null(self, capsys):
+        # from p = 646 at eps0 = 0.001 the chain's log10 eps_out is below float range
+        argv = ["analyze", "--inner", "149,117,5", "--pre-rounds", "700", "--eps0", "0.001"]
+        assert main(argv) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        chain = doc["results"]["stages"][0]
+        assert chain["log10_eps_out"] is None
+        assert chain["log10_success_prob"] == doc["results"]["log10_success_prob"] < 0
+
 
 class TestSearch:
     def test_reproduces_headline_code(self, capsys):
@@ -280,6 +289,13 @@ class TestCompare:
         assert main(["compare", "--eps-in", "1.5"]) == EXIT_USAGE
         assert "0 <= eps < 1" in capsys.readouterr().err
 
+    def test_chain_below_float_log_range_is_inf(self, capsys):
+        assert main(["compare", "--format", "csv", "--pre-rounds-max", "700"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        chain = [ln.split(",") for ln in lines if ln.startswith("repeated_15to1,")]
+        assert [row[1] for row in chain] == [str(p) for p in range(1, 701)]
+        assert chain[-1][2] == "inf" and float(chain[-1][3]) < -800
+
 
 # The protocol subcommands, each up to the flag that sets its raw input error.
 INPUT_ERROR_ARGVS = {
@@ -306,6 +322,31 @@ class TestInputErrorRange:
     def test_above_threshold_is_infeasible(self, capsys, name):
         assert main(INPUT_ERROR_ARGVS[name] + ["0.2"]) == EXIT_INFEASIBLE
         assert "input error must be below 1" in capsys.readouterr().err
+
+
+# The protocol subcommands, each with a cheap argv.
+PROTOCOL_ARGVS = {
+    "analyze": ["analyze", "--inner", "149,117,5", "--pre-rounds", "3"],
+    "analyze-headline": ["analyze", "--inner", "8104,8002,9", "--pre-rounds", "1"],
+    "table-s1": ["table-s1"],
+    "compare": ["compare"],
+    "search": ["search", "--rate-floor-log10", "-7.0324"],
+}
+class TestStandardJson:
+    """No NaN, Infinity or -Infinity reaches a protocol subcommand's JSON, the zero included."""
+
+    @pytest.mark.parametrize("convention", ["required", "achieved"])
+    @pytest.mark.parametrize("name", sorted(PROTOCOL_ARGVS))
+    def test_either_convention(self, capsys, name, convention):
+        assert main(PROTOCOL_ARGVS[name] + ["--success-eps", convention]) == EXIT_OK
+        json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+
+    def test_chain_below_float_log_range(self, capsys):
+        # analyze's p = 700 case is TestAnalyze.test_chain_below_float_log_range_is_null
+        assert main(["compare", "--pre-rounds-max", "700"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        assert doc["results"][699] == {"series": "repeated_15to1", "label": "700",
+                                       "neg_log10_eps": "inf", "log10_rate": -824.192118}
 
 
 class TestSimulate:
