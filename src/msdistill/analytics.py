@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count, islice
+from typing import Iterator
 
 from .inner_codes import CssCodeParams
 from .logdomain import ONE, LogScalar, log10_binomial, pow_one_minus
@@ -43,25 +45,29 @@ def _as_eps(eps: LogScalar | float) -> LogScalar:
     return eps
 
 
-def predistill_chain(rounds: int, eps0: LogScalar | float) -> StageReport:
-    """rounds iterations of 15->1, each taking eps to 35 eps^3.
+def _predistill_rounds(eps0: LogScalar | float) -> Iterator[StageReport]:
+    """The reports after 0, 1, 2, ... rounds of 15->1, each taking eps to 35 eps^3.
 
-    That gives eps_out = 35^((3^p-1)/2) eps0^(3^p), computed round by round:
-    each round's input is checked against threshold and its success
-    probability (1-eps)^15 accumulated. An eps_out whose log10 falls below
-    float range (from about p = 646) is the zero.
+    After p rounds eps_out = 35^((3^p-1)/2) eps0^(3^p). Each round's input is
+    checked against threshold and its success probability (1-eps)^15
+    accumulated. An eps_out whose log10 falls below float range (from about
+    p = 646) is the zero.
     """
-    if rounds < 0:
-        raise ValueError("rounds must be >= 0")
-    eps = _as_eps(eps0)
-    success = ONE
-    for index in range(rounds):
+    eps, success = _as_eps(eps0), ONE
+    for index in count():
+        inputs = LogScalar.coerce(FIFTEEN_TO_ONE_INPUTS) ** index
+        yield StageReport("pre_distillation", inputs, eps, success)
         if not eps < ONE:
             raise ThresholdError(f"15->1 round {index + 1}: input error must be below 1")
         success = success * pow_one_minus(eps, FIFTEEN_TO_ONE_INPUTS)
         eps = LogScalar.coerce(FIFTEEN_TO_ONE_ERROR_COEFF) * eps**3
-    inputs = LogScalar.coerce(FIFTEEN_TO_ONE_INPUTS) ** rounds
-    return StageReport("pre_distillation", inputs, eps, success)
+
+
+def predistill_chain(rounds: int, eps0: LogScalar | float) -> StageReport:
+    """The report after ``rounds`` rounds of 15->1, computed round by round."""
+    if rounds < 0:
+        raise ValueError("rounds must be >= 0")
+    return next(islice(_predistill_rounds(eps0), rounds, None))
 
 
 def hadamard_step_counts(params: CssCodeParams, a_n: int, m: int) -> int:

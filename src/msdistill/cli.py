@@ -409,7 +409,7 @@ def cmd_compare(config: dict[str, Any]) -> Output:
     )
     results = [
         {"series": r.series, "label": r.label,
-         "neg_log10_eps": _fmt_log10(r.neg_log10_eps) if math.isfinite(r.neg_log10_eps) else "inf",
+         "neg_log10_eps": _fmt_log10(r.neg_log10_eps),
          "log10_rate": _fmt_log10(r.log10_rate)}
         for r in rows
     ]

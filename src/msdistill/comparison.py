@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
-from .analytics import FIFTEEN_TO_ONE_INPUTS, predistill_chain
+from .analytics import FIFTEEN_TO_ONE_INPUTS, _predistill_rounds, predistill_chain
 from .inner_codes import binary_entropy
 from .logdomain import LogScalar
-from .pipeline import PipelineReport, ProtocolSpec, evaluate
+from .pipeline import ProtocolSpec, evaluate
 
 CCZ_TO_TARGET_CONVERSION = 70  # |CCZ> states per distillation-code input state
 T_PER_CCZ = 4
@@ -124,32 +125,17 @@ def figure2_dataset(
     Returns the rows plus a metadata record (convention flags, both block
     lengths, the catalyst schedule).
     """
-    rows: list[ComparisonRow] = []
-
-    for p in range(1, pre_rounds_max + 1):
-        report = predistill_chain(p, eps_in)
-        rows.append(
-            ComparisonRow(
-                "repeated_15to1",
-                str(p),
-                -report.eps_out.log10,
-                report.effective_rate.log10,
-            )
-        )
-
-    pipeline_reports: list[PipelineReport] = [
-        evaluate(spec, success_eps=success_eps) for spec in pipeline_specs
-    ]
-    for report in pipeline_reports:
+    # one chain passes through every p; zip stops before a round past pre_rounds_max
+    chain = islice(_predistill_rounds(eps_in), 1, None)
+    series = [("repeated_15to1", str(p), r) for p, r in zip(range(1, pre_rounds_max + 1), chain)]
+    for spec in pipeline_specs:
+        report = evaluate(spec, success_eps=success_eps)
         p, r = report.label
-        rows.append(
-            ComparisonRow(
-                "check_schedule",
-                f"({p};{r})",
-                -report.eps_out.log10,
-                report.effective_rate.log10,
-            )
-        )
+        series.append(("check_schedule", f"({p};{r})", report))
+    rows = [
+        ComparisonRow(name, label, -report.eps_out.log10, report.effective_rate.log10)
+        for name, label, report in series
+    ]
 
     rate, params, schedule = qag_baseline_rate(eps_in)
     abscissae = [row.neg_log10_eps for row in rows] or [0.0]

@@ -10,7 +10,8 @@ verdict decides every check from such a list; the Monte Carlo sampler passes
 the trials it drew, ``min_undetected_weight`` a batch of candidates. The
 sampler draws only the faulty sites (the gaps between faults are geometric),
 so its cost, memory included, scales with trials x sites x eps and no trial x
-site grid is built. A fault-free trial is accepted and not erroneous.
+site grid is built. A fault-free trial is accepted and not erroneous. Exact
+mode XORs each check's single-slot faults' packed row masks into its parities.
 """
 from __future__ import annotations
 
@@ -129,28 +130,29 @@ class _Kernel:
     """Precomputed arrays shared by every verdict on one instance in one mode.
 
     The outer matrix is held by columns: the checks each data state enters.
-    Exact mode holds, for each inner qubit, the rows of [H; K] that contain
-    it, where H is the inner check matrix and K the row space's parity checks.
+    Exact mode holds, for each inner qubit, a packed mask of the rows of [H; K]
+    that contain it (H the inner check matrix in the leading words, K the row
+    space's parity checks).
     """
 
     num_data: int
     num_checks: int
     params: CssCodeParams
     data_checks: tuple[np.ndarray, np.ndarray]  # CSR over data states of the outer matrix
-    qubit_rows: tuple[np.ndarray, np.ndarray] | None  # CSR over qubits of [H; K], exact mode only
-    syndrome_rows: int  # rows(H): the leading rows of [H; K]
-    inner_rows: int  # rows([H; K])
+    qubit_rows: np.ndarray | None  # (n_q, words) uint64 masks of [H; K], exact mode only
+    syndrome_words: int  # the leading words of a mask, which hold H's rows
 
     @classmethod
     def build(cls, instance: ProtocolInstance, mode: str) -> "_Kernel":
         outer, params = instance.outer.matrix.to_array(), instance.inner.params
         common = (instance.num_data, instance.num_checks, params, _csr(outer.T))
         if mode == "idealized":
-            return cls(*common, None, 0, 0)
+            return cls(*common, None, 0)
         if mode == "exact":
             check = instance.inner.check
-            stacked = np.vstack((check.to_array(), row_space(check).to_array()))
-            return cls(*common, _csr(stacked.T), check.rows, len(stacked))
+            syndrome = check.column_words()
+            rows = np.hstack((syndrome, row_space(check).column_words()))
+            return cls(*common, rows, syndrome.shape[1])
         raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -219,15 +221,15 @@ def _verdicts(
     keys, counts = np.unique(np.concatenate((data_flips, slot[double] // n_q)), return_counts=True)
     flipped = keys[counts % 2 == 1]
 
+    home = single // n_q  # each single's key trial * m + check, sorted
     if kernel.qubit_rows is None:
-        keys, weight = np.unique(single // n_q, return_counts=True)
+        keys, weight = np.unique(home, return_counts=True)
         return keys[weight < kernel.params.d_q], flipped, keys[weight >= kernel.params.d_q]
-    # parity of each row of [H; K] over each check's singles
-    owner, row = _expand(kernel.qubit_rows, single % n_q)
-    keys, counts = np.unique(single[owner] // n_q * kernel.inner_rows + row, return_counts=True)
-    check, row = np.divmod(keys[counts % 2 == 1], kernel.inner_rows)
-    rejected = np.unique(check[row < kernel.syndrome_rows])
-    return rejected, flipped, np.setdiff1d(check[row >= kernel.syndrome_rows], rejected)
+    # each check's residual parities: the XOR over its run of singles of their [H; K] masks
+    start = np.flatnonzero(np.diff(home, prepend=-1))
+    parity = np.bitwise_xor.reduceat(kernel.qubit_rows[single % n_q], start)
+    keys, rejected = home[start], parity[:, : kernel.syndrome_words].any(axis=1)
+    return keys[rejected], flipped, keys[~rejected & parity.any(axis=1)]
 
 
 def _tally(

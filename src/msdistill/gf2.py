@@ -1,6 +1,7 @@
 """GF(2) linear algebra on bit-packed binary matrices.
 
 Rows are stored as Python integers (bit ``j`` of a row word is column ``j``).
+:func:`rank2` and :func:`row_space` share one echelon form, keyed by lowest bit.
 :func:`low_weight_syndromes` is the one enumerator of low-weight supports.
 """
 from __future__ import annotations
@@ -79,6 +80,12 @@ class BinMatrix:
                 r ^= low
         return tuple(cols)
 
+    def column_words(self) -> np.ndarray:
+        """Columns as (cols, words) uint64: bit ``i % 64`` of word ``i // 64`` is row ``i``."""
+        words = (self.rows + 63) // 64
+        packed = b"".join(c.to_bytes(8 * words, "little") for c in self.column_bits())
+        return np.frombuffer(packed, dtype="<u8").reshape(self.cols, words)
+
     def transpose(self) -> "BinMatrix":
         return BinMatrix(self.cols, self.rows, self.column_bits())
 
@@ -89,34 +96,26 @@ class BinMatrix:
         return np.unpackbits(grid, axis=1, count=self.cols, bitorder="little")
 
 
-def _eliminate(matrix: BinMatrix) -> tuple[list[int], list[int]]:
-    """Gauss-Jordan elimination, lowest column first: (reduced rows, pivot columns).
+def _echelon(matrix: BinMatrix) -> dict[int, int]:
+    """Row echelon form keyed by pivot: each kept row's lowest set bit is its key.
 
-    Row ``i`` has a one at ``pivots[i]`` and zeros at every other pivot column.
+    A row is XORed with the kept row whose pivot is its lowest bit until that
+    bit is no pivot (the row is kept) or the row vanishes (it was dependent).
     """
-    work, pivots = list(matrix.row_bits), []
-    for col in range(matrix.cols):
-        rank = len(pivots)
-        pivot = None
-        for i in range(rank, len(work)):
-            if (work[i] >> col) & 1:
-                pivot = i
+    echelon: dict[int, int] = {}
+    for row in matrix.row_bits:
+        while row:
+            low = (row & -row).bit_length() - 1
+            if low not in echelon:
+                echelon[low] = row
                 break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        for i in range(len(work)):
-            if i != rank and (work[i] >> col) & 1:
-                work[i] ^= work[rank]
-        pivots.append(col)
-        if rank + 1 == len(work):
-            break  # every row holds a pivot; the remaining columns are free
-    return work, pivots
+            row ^= echelon[low]
+    return echelon
 
 
 def rank2(matrix: BinMatrix) -> int:
-    """GF(2) rank: the pivot count of the Gauss-Jordan elimination."""
-    return len(_eliminate(matrix)[1])
+    """GF(2) rank: the pivot count of the row echelon form."""
+    return len(_echelon(matrix))
 
 
 def mul2(a: BinMatrix, b: BinMatrix) -> BinMatrix:
@@ -145,10 +144,17 @@ def row_space(matrix: BinMatrix) -> BinMatrix:
     evenly, so the span is never built. The name predates this form and stays
     because perfbench's tracer wraps ``gf2.row_space`` by name.
     """
-    reduced, pivots = _eliminate(matrix)
+    # back-substitute, highest pivot first: each row keeps its own pivot and no other
+    reduced: dict[int, int] = {}
+    for pivot, row in sorted(_echelon(matrix).items(), reverse=True):
+        for higher, other in reduced.items():
+            if row >> higher & 1:
+                row ^= other
+        reduced[pivot] = row
     basis = tuple(
-        (1 << col) | sum(((row >> col) & 1) << pivot for row, pivot in zip(reduced, pivots))
-        for col in sorted(set(range(matrix.cols)).difference(pivots))
+        (1 << col) | sum((row >> col & 1) << pivot for pivot, row in reduced.items())
+        for col in range(matrix.cols)
+        if col not in reduced
     )
     return BinMatrix(len(basis), matrix.cols, basis)
 
@@ -182,15 +188,10 @@ def low_weight_syndromes(
     :func:`exhaustive_guard`, before starting a weight that would take the
     support count past EXHAUSTIVE_PATTERN_GUARD.
     """
-    n, words = matrix.cols, (matrix.rows + 63) // 64
-    mask = (1 << 64) - 1
-    columns = np.array(
-        [[(c >> (64 * k)) & mask for k in range(words)] for c in matrix.column_bits()],
-        dtype=np.uint64,
-    ).reshape(n, words)
+    n, columns = matrix.cols, matrix.column_words()
     index_type = np.min_scalar_type(n)
     prefixes = np.zeros((1, 0), dtype=index_type)  # the empty support
-    prefix_syndromes = np.zeros((1, words), dtype=np.uint64)
+    prefix_syndromes = np.zeros((1, columns.shape[1]), dtype=np.uint64)
     last = np.array([-1])  # kept intp: an unsigned last mixes into float cumsums
     for weight in range(1, min(weight_max, n) + 1):
         exhaustive_guard(n, weight)

@@ -15,6 +15,11 @@ from msdistill.gf2 import BinMatrix
 from msdistill.logdomain import LogScalar
 
 
+# [[23,1,7]] Golay code: rows x^i (1+x) g(x), i = 0..10, with g(x) = x^11+x^10+x^6+x^5+x^4+x^2+1
+_GOLAY_G = sum(1 << e for e in (11, 10, 6, 5, 4, 2, 0))
+GOLAY_CHECK = BinMatrix(11, 23, tuple((_GOLAY_G ^ _GOLAY_G << 1) << i for i in range(11)))
+
+
 def fifteen_to_one(eps: LogScalar) -> LogScalar:
     """One 15->1 round, eps -> 35 eps^3: the recursion predistill_chain's closed form solves."""
     return LogScalar.coerce(35) * eps**3

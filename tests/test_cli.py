@@ -346,7 +346,7 @@ class TestStandardJson:
         assert main(["compare", "--pre-rounds-max", "700"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
         assert doc["results"][699] == {"series": "repeated_15to1", "label": "700",
-                                       "neg_log10_eps": "inf", "log10_rate": -824.192118}
+                                       "neg_log10_eps": None, "log10_rate": -824.192118}
 
 
 class TestSimulate:

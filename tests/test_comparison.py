@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from msdistill.analytics import ThresholdError
+from msdistill.analytics import ThresholdError, predistill_chain
 from msdistill.comparison import (
     PUBLISHED_MIN_BLOCK_LENGTH,
     ComparisonRow,
@@ -131,6 +131,16 @@ class TestFigure2Dataset:
         first = next(r for r in rows if r.series == "repeated_15to1" and r.label == "1")
         assert 10.0**first.log10_rate == pytest.approx(0.9**15 / 15, rel=1e-9)
         assert 10.0**-first.neg_log10_eps == pytest.approx(0.035, rel=1e-9)
+
+    def test_chain_rows_match_predistill_chain(self):
+        # one pass of the round loop gives every p the report of its own chain
+        rows, _ = figure2_dataset(pre_rounds_max=50)
+        chain = [r for r in rows if r.series == "repeated_15to1"]
+        assert [r.label for r in chain] == [str(p) for p in range(1, 51)]
+        for p, row in enumerate(chain, 1):
+            report = predistill_chain(p, 0.1)
+            assert row.neg_log10_eps == -report.eps_out.log10
+            assert row.log10_rate == report.effective_rate.log10
 
     def test_blue_rows_pass_through_evaluate(self):
         specs = self._specs()

@@ -152,6 +152,28 @@ class TestExactResiduals:
             v = verdict(inst, 0, "exact", slots=slots)
             assert (v.rejected, v.corrupted) == expected
 
+    def test_one_trial_across_several_checks(self):
+        # WIDE's K has 67 rows: [H; K] takes three words, and a logical's odd parities span K's two
+        inst = ProtocolInstance(WIDE, IDENTITY_OUTER, strict=False)
+        n_q = WIDE.params.n_q
+
+        def slot(check, qubit, t=0):
+            return inst.num_data + 2 * (check * n_q + qubit) + t
+
+        stabilizer = [63 + q for q in range(7) if (STEANE.check.row_bits[0] >> q) & 1]
+        faults = sorted(
+            [(0, slot(0, 63 + q)) for q in (0, 1, 2)]  # check 0: a logical
+            + [(0, slot(1, q)) for q in stabilizer]  # check 1: a stabilizer
+            + [(0, slot(2, 66, 1)), (0, slot(3, 0))]  # check 2: detected; check 3: a logical
+            + [(1, 2), (1, slot(1, 5)), (1, slot(1, 5, 1)), (1, slot(1, 63))]
+        )
+        trial, site = np.array(faults).T
+        found = _verdicts(_Kernel.build(inst, "exact"), trial, site)
+        # trial 1: check 2 flips on its data fault; check 1 flips on its double and rejects
+        assert [keys.tolist() for keys in found] == [[2, 5], [5, 6], [0, 3]]
+        as_pairs = tuple({divmod(int(k), inst.num_checks) for k in keys} for keys in found)
+        assert as_pairs == oracle_verdicts(inst, "exact", faults)
+
 
 @st.composite
 def fault_lists(draw):
@@ -417,12 +439,27 @@ class TestPegSchedule:
     def instance():
         return ProtocolInstance(STEANE, build_biregular(60, 3, 3, 6, 1), strict=False)
 
-    @pytest.mark.parametrize("eps, accepted", [(1e-3, 13241), (3e-3, 2143)])
-    def test_seed_pins_the_report(self, eps, accepted):
-        # counts recorded before the verdict worked from fault lists: a given
-        # seed's draw, and so its counts, must not change
-        report = monte_carlo(self.instance(), eps, 1 << 15, 1, mode="exact", block_size=1 << 14)
-        assert report == SimReport(1 << 15, accepted, 0, 0, eps, 1, "exact", "erroneous")
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("eps, accepted", [(1e-3, 13241), (3e-3, 2143), (6e-3, 159)])
+    def test_seed_pins_the_report(self, eps, accepted, workers):
+        # counts recorded before the verdict worked from fault lists (6e-3: before it
+        # became a per-check XOR): a given seed's draw, and so its counts, must not
+        # change with the verdict, the convention or the worker count
+        for corruption in ("erroneous", "reject"):
+            report = monte_carlo(self.instance(), eps, 1 << 15, 1, mode="exact",
+                                 corruption=corruption, workers=workers, block_size=1 << 14)
+            assert report == SimReport(1 << 15, accepted, 0, 0, eps, 1, "exact", corruption)
+
+    def test_block_verdicts_match_the_oracle(self):
+        inst = self.instance()
+        rng = np.random.Generator(np.random.Philox(key=1))
+        positions = np.concatenate(list(_fault_positions(rng, 2e-2, 1 << 10, inst.fault_sites)))
+        trial, site = np.divmod(positions, inst.fault_sites)
+        found = _verdicts(_Kernel.build(inst, "exact"), trial, site)
+        # key counts recorded before the verdict became a per-check XOR
+        assert [len(keys) for keys in found] == [14866, 3595, 25]
+        as_pairs = tuple({divmod(int(k), inst.num_checks) for k in keys} for keys in found)
+        assert as_pairs == oracle_verdicts(inst, "exact", list(zip(trial.tolist(), site.tolist())))
 
     def test_block_memory_stays_small(self):
         # a trial x site grid of this block took about 43 MB at its peak

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import oracle_span, oracle_syndromes
+from conftest import GOLAY_CHECK, oracle_span, oracle_syndromes
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from strategies import bin_matrices, random_matrix
@@ -14,7 +14,8 @@ from msdistill.gf2 import (
     rank2,
     row_space,
 )
-from msdistill.inner_codes import STEANE
+from msdistill.inner_codes import RM15, STEANE
+from msdistill.outer_codes import build_biregular
 
 STEANE_CHECK = STEANE.check
 
@@ -78,6 +79,15 @@ class TestRank:
     def test_rank_bounds(self, a):
         assert 0 <= rank2(a) <= min(a.rows, a.cols)
 
+    @given(bin_matrices(max_rows=8, max_cols=12))
+    def test_rank_counts_the_span(self, a):
+        assert 2 ** rank2(a) == len(oracle_span(a))
+
+    @pytest.mark.parametrize("a_n, rank", [(240, 239), (600, 599)])
+    def test_peg_schedules(self, a_n, rank):
+        # the seed-1 schedules the schedule_verify benchmark builds; ranks from the Gauss-Jordan form
+        assert rank2(build_biregular(a_n, 3, 3, 6, 1).matrix) == rank
+
 
 class TestMul2:
     def test_identity_is_neutral(self):
@@ -129,6 +139,17 @@ def test_row_space_parity_checks_decide_membership(matrix):
     for v in range(1 << matrix.cols):
         even = all((row & v).bit_count() % 2 == 0 for row in checks.row_bits)
         assert even == (v in span)
+
+
+# the reduced-form kernel bases recorded from the earlier Gauss-Jordan elimination
+@pytest.mark.parametrize("matrix, basis", [
+    (STEANE_CHECK, (7, 25, 42, 75)),
+    (RM15.check, (7, 25, 42, 75, 1920, 6528, 10880, 19200)),
+    (GOLAY_CHECK, (3189, 5279, 9547, 18147, 33203, 66406, 132812, 262637, 525274, 1050548,
+                   2097949, 4195898)),
+], ids=["steane", "rm15", "golay"])
+def test_row_space_basis_is_pinned(matrix, basis):
+    assert row_space(matrix).row_bits == basis
 
 
 def unpacked(matrix, weight_max):

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import oracle_min_distance
+from conftest import GOLAY_CHECK, oracle_min_distance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,11 +30,6 @@ from msdistill.inner_codes import (
 SELF_ORTHOGONAL_BASES = (
     STEANE.check, RM15.check, BinMatrix.from_text("11110000\n00111100\n00001111\n01010101"),
 )
-
-# [[23,1,7]] Golay code: rows x^i (1+x) g(x), i = 0..10, with g(x) = x^11+x^10+x^6+x^5+x^4+x^2+1
-_GOLAY_G = sum(1 << e for e in (11, 10, 6, 5, 4, 2, 0))
-GOLAY_CHECK = BinMatrix(11, 23, tuple((_GOLAY_G ^ _GOLAY_G << 1) << i for i in range(11)))
-
 
 @st.composite
 def self_orthogonal_matrices(draw):
