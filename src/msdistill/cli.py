@@ -15,7 +15,9 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence
 from . import __version__
 from .analytics import ThresholdError, overhead_exponent
 from .comparison import CSV_HEADER, figure2_dataset
-from .fault_sim import ProtocolInstance, fit_error_order, make_single_check_instance, monte_carlo
+from .fault_sim import (
+    DEFAULT_BLOCK_SIZE, ProtocolInstance, fit_error_order, make_single_check_instance, monte_carlo,
+)
 from .gf2 import BinMatrix
 from .inner_codes import (
     CssCodeParams, WeaklySelfDualCode, distance_family, gv_params, ln_rule_distance,
@@ -24,8 +26,8 @@ from .inner_codes import (
 from .logdomain import LogScalar
 from .outer_codes import ConstructionError, OuterCode, build_biregular, check_sensitivity
 from .pipeline import (
-    HadamardStep, PipelineReport, PreDistillation, ProtocolSpec, SearchError, StageError,
-    default_scale_rule, evaluate, search_best,
+    DEFAULT_INPUT_ERROR, HadamardStep, PipelineReport, PreDistillation, ProtocolSpec, SearchError,
+    StageError, default_scale_rule, evaluate, search_best,
 )
 
 EXIT_OK = 0
@@ -58,6 +60,7 @@ class _Parser(argparse.ArgumentParser):
 #
 # A kind reads an option's value from flag text (``parse``) and checks and
 # converts a JSON config-file value (``load``), so both sources give one value.
+# A kind without ``parse`` is read from a config file only and has no flag.
 
 
 class Kind(NamedTuple):
@@ -124,7 +127,6 @@ class Option(NamedTuple):
     help: str | None = None
     choices: tuple[str, ...] | None = None
     required: bool = False
-    config_only: bool = False
 
     @property
     def flag(self) -> str:
@@ -300,6 +302,8 @@ def cmd_gv_search(config: dict[str, Any]) -> Output:
 
 def cmd_validate_code(config: dict[str, Any]) -> Output:
     if config["code"]:
+        if any(config[key] is not None for key in ("matrix_file", "n", "k", "d")):
+            raise UsageError("--code takes no --matrix-file, --n, --k or --d")
         code = load_named_code(config["code"])
     elif config["matrix_file"]:
         if None in (config["n"], config["k"], config["d"]):
@@ -504,7 +508,7 @@ def cmd_table_s1(config: dict[str, Any]) -> Output:
 # the defaults and the checks on config-file values all come from this table.
 
 _SEED = Option("seed", 0, INT, "random seed")
-_EPS0 = Option("eps0", 0.1, FLOAT, "error rate of the raw input states")
+_EPS0 = Option("eps0", DEFAULT_INPUT_ERROR, FLOAT, "error rate of the raw input states")
 _SUCCESS_EPS = Option("success_eps", "required", STR, "error rate the success probability "
                       "is evaluated at", choices=("required", "achieved"))
 _MATRIX_FILE = Option("matrix_file", None, STR, "check matrix as rows of 0/1 text")
@@ -552,8 +556,8 @@ COMMANDS = {command.name: command for command in (
     Command("compare", "rate-vs-error comparison dataset", cmd_compare, (
         Option("pre_rounds_max", 6, INT, "longest repeated 15-to-1 chain"),
         Option("specs", [{"pre_rounds": 3, "inner": [149, 117, 5]},
-                         {"pre_rounds": 4, "inner": [8104, 8002, 9]}], SPECS, config_only=True),
-        Option("eps_in", 0.1, FLOAT, "raw input error rate of all three series"),
+                         {"pre_rounds": 4, "inner": [8104, 8002, 9]}], SPECS),
+        Option("eps_in", DEFAULT_INPUT_ERROR, FLOAT, "raw input error rate of all three series"),
         _SUCCESS_EPS,
     ), csv_header=CSV_HEADER),
     Command("simulate", "Monte Carlo fault injection", cmd_simulate, (
@@ -567,7 +571,7 @@ COMMANDS = {command.name: command for command in (
         Option("corruption", "erroneous", STR, "count corrupted accepted trials as errors, "
                "or reject them", choices=("erroneous", "reject")),
         Option("workers", None, INT, "worker threads (default: one per core)"),
-        Option("block_size", 1 << 16, INT, "trials per RNG block"),
+        Option("block_size", DEFAULT_BLOCK_SIZE, INT, "trials per RNG block"),
     ), csv_header="eps,eps_out,ci_low_or_events,ci_high"),
     Command("table-s1", "published-vs-recomputed finite-size rows", cmd_table_s1, (
         _EPS0,
@@ -586,7 +590,7 @@ def build_parser(names: Iterable[str] = COMMANDS) -> argparse.ArgumentParser:
         command = COMMANDS[name]
         sub = subs.add_parser(command.name, help=command.help)
         for option in command.options:
-            if not option.config_only:
+            if option.kind.parse is not None:
                 sub.add_argument(option.flag, dest=option.key, type=option.kind.parse,
                                  choices=option.choices, help=option.help)
         sub.add_argument("--config", help="JSON config file (a previous output replays itself)")

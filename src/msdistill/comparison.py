@@ -8,7 +8,7 @@ from typing import Sequence
 from .analytics import FIFTEEN_TO_ONE_INPUTS, _predistill_rounds, predistill_chain
 from .inner_codes import binary_entropy
 from .logdomain import LogScalar
-from .pipeline import ProtocolSpec, evaluate
+from .pipeline import DEFAULT_INPUT_ERROR, ProtocolSpec, evaluate
 
 CCZ_TO_TARGET_CONVERSION = 70  # |CCZ> states per distillation-code input state
 T_PER_CCZ = 4
@@ -92,7 +92,9 @@ def qag_rate(params: QagParams, catalyst_rounds: int) -> LogScalar:
     return LogScalar.coerce(numerator) / LogScalar.coerce(denominator)
 
 
-def qag_baseline_rate(eps_in: float = 0.1) -> tuple[LogScalar, QagParams, CatalystSchedule]:
+def qag_baseline_rate(
+    eps_in: float = DEFAULT_INPUT_ERROR,
+) -> tuple[LogScalar, QagParams, CatalystSchedule]:
     """Rate of the smallest family instance at the standard initial error."""
     params = qag_params(3)
     schedule = qag_catalyst_rounds(eps_in, qag_threshold())
@@ -117,7 +119,7 @@ def figure2_dataset(
     *,
     pre_rounds_max: int = 6,
     pipeline_specs: Sequence[ProtocolSpec] = (),
-    eps_in: float = 0.1,
+    eps_in: float = DEFAULT_INPUT_ERROR,
     success_eps: str = "required",
 ) -> tuple[list[ComparisonRow], dict[str, object]]:
     """Assemble the three comparison series: repeated 15->1, this protocol, baseline.

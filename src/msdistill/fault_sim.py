@@ -6,12 +6,13 @@ its outcome when a qubit has both slots faulty, and is corrupted by a logical
 residual: weight >= d (idealized mode) or outside the row space (exact mode).
 
 Faults have one format: a list of (trial, site) pairs, sorted. One vectorized
-verdict decides every check from such a list; the Monte Carlo sampler passes
-the trials it drew, ``min_undetected_weight`` a batch of candidates. The
-sampler draws only the faulty sites (the gaps between faults are geometric),
-so its cost, memory included, scales with trials x sites x eps and no trial x
-site grid is built. A fault-free trial is accepted and not erroneous. Exact
-mode XORs each check's single-slot faults' packed row masks into its parities.
+verdict decides every check of the trials that the Monte Carlo sampler drew.
+The sampler draws only the faulty sites (the gaps between faults are
+geometric), so its cost, memory included, scales with trials x sites x eps and
+no trial x site grid is built. A fault-free trial is accepted and not
+erroneous. Exact mode XORs each check's single-slot faults' packed row masks
+into its parities. ``min_undetected_weight`` needs no verdict: its lightest
+accepted pattern has a closed form over the outer matrix alone.
 """
 from __future__ import annotations
 
@@ -369,39 +370,27 @@ def fit_error_order(
 def min_undetected_weight(instance: ProtocolInstance, weight_max: int) -> int | None:
     """Lightest accepted fault pattern leaving a data error, or None if > weight_max.
 
-    Enumerates data patterns by ascending weight; each one that could still
-    win becomes a candidate assignment that hides every violated check with a
-    slot double on its first qubit. The candidates of one weight are verified
-    together by the check verdict. Refuses, through :func:`gf2.exhaustive_guard`,
-    to start a weight whose data patterns would pass the guard.
+    Singles never change a check's outcome, so a data error v that violates
+    check j stays hidden only with an odd number of doubles on j: at least two
+    faults per violated check. v plus one double on each violated check has no
+    singles, so neither mode rejects it or calls it corrupt. The lightest such
+    pattern therefore weighs min over nonzero v of |v| + 2|Hv|, H the outer
+    matrix. Data patterns are enumerated by ascending weight up to the first
+    weight that cannot win. Refuses, through :func:`gf2.exhaustive_guard`, to
+    start a weight whose data patterns would pass the guard.
     """
     a_n = instance.num_data
-    n_q = instance.inner.params.n_q
     cols = instance.outer.matrix.column_bits()
-    kernel = _Kernel.build(instance, "idealized")
-
     best: int | None = None
     for weight in range(1, min(weight_max, a_n) + 1):
         if best is not None and weight >= best:
             break
         exhaustive_guard(a_n, weight)
-        candidates, costs = [], []
         for support in combinations(range(a_n), weight):
             acc = 0
             for j in support:
                 acc ^= cols[j]
             cost = weight + 2 * acc.bit_count()
             if cost <= weight_max and (best is None or cost < best):
-                # its data sites, then a double on the first qubit of each violated check
-                first = [a_n + 2 * n_q * j for j in range(acc.bit_length()) if acc >> j & 1]
-                candidates.append((*support, *(slot + t for slot in first for t in (0, 1))))
-                costs.append(cost)
-        if not candidates:
-            continue
-        trial, site = np.array([(i, s) for i, sites in enumerate(candidates) for s in sites]).T
-        rejected, flipped, _ = _verdicts(kernel, trial, site)
-        bad = np.concatenate((rejected, flipped)) // instance.num_checks
-        accepted = np.bincount(bad, minlength=len(candidates)) == 0
-        if accepted.any():  # every candidate costs less than the best so far
-            best = int(np.array(costs)[accepted].min())
+                best = cost
     return best

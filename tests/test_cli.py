@@ -75,8 +75,16 @@ class TestValidateCode:
         )
         assert code == EXIT_INFEASIBLE
 
-    def test_missing_selector(self, capsys):
+    def test_missing_selector(self, capsys, tmp_path):
         assert main(["validate-code"]) == EXIT_USAGE
+        matrix = tmp_path / "m.txt"
+        matrix.write_text("1111000\n")
+        for extra in (
+            ["--matrix-file", str(matrix), "--n", "7", "--k", "1", "--d", "3"],
+            ["--matrix-file", str(matrix)], ["--n", "7"], ["--k", "1"], ["--d", "3"],
+        ):
+            assert main(["validate-code", "--code", "rm15", *extra]) == EXIT_USAGE
+        assert "--code takes no" in capsys.readouterr().err
 
 
 class TestOuterCommands:

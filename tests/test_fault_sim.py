@@ -1,5 +1,4 @@
 import math
-import random
 import time
 import tracemalloc
 from collections import namedtuple
@@ -9,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from strategies import bin_matrices
 
 from conftest import (
     enumerate_truncated,
@@ -525,19 +525,38 @@ class TestMinUndetectedWeight:
         inst = ProtocolInstance(inner, outer, strict=False)
         assert min_undetected_weight(inst, 6) == oracle_min_weight(inst, 6)
 
-    def test_randomized_oracle_equivalence(self):
-        rng = random.Random(1234)
-        for trial in range(20):
-            a_n = rng.randint(2, 6)
-            m = rng.randint(1, 3)
-            rows = tuple(rng.randint(0, (1 << a_n) - 1) for _ in range(m))
-            outer = OuterCode(BinMatrix(m, a_n, rows), 0, 0)
-            d = rng.choice([3, 5])
-            inner = WeaklySelfDualCode(
-                CssCodeParams(7, 1, d), STEANE.check
-            )
-            inst = ProtocolInstance(inner, outer, strict=False)
-            assert min_undetected_weight(inst, 6) == oracle_min_weight(inst, 6)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        outer=bin_matrices(max_rows=6, max_cols=10),
+        d=st.sampled_from([3, 5]),
+        weight_max=st.integers(1, 8),
+    )
+    def test_randomized_oracle_equivalence(self, outer, d, weight_max):
+        inner = WeaklySelfDualCode(CssCodeParams(7, 1, d), STEANE.check)
+        inst = ProtocolInstance(inner, OuterCode(outer, 0, 0), strict=False)
+        assert min_undetected_weight(inst, weight_max) == oracle_min_weight(inst, weight_max)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        outer=bin_matrices(max_rows=4, max_cols=8).filter(lambda matrix: matrix.cols),
+        code=st.sampled_from([STEANE, RM15]),
+        mode=st.sampled_from(["idealized", "exact"]),
+        data=st.data(),
+    )
+    def test_one_double_per_violated_check_is_accepted(self, outer, code, mode, data):
+        # the pattern whose weight the function reports: nonzero data v, plus
+        # both slots of any one qubit in each check that v violates
+        a_n, n_q = outer.cols, code.params.n_q
+        v = data.draw(st.integers(1, (1 << a_n) - 1), label="v")
+        qubits = data.draw(st.lists(st.integers(0, n_q - 1), min_size=outer.rows,
+                                    max_size=outer.rows), label="qubits")
+        violated = [j for j, row in enumerate(outer.row_bits) if (row & v).bit_count() % 2]
+        site = [i for i in range(a_n) if v >> i & 1]
+        site += [a_n + 2 * (j * n_q + qubits[j]) + t for j in violated for t in (0, 1)]
+        inst = ProtocolInstance(code, OuterCode(outer, 0, 0), strict=False)
+        site = np.array(site, dtype=np.int64)
+        rejected, flipped, corrupt = _verdicts(_Kernel.build(inst, mode), np.zeros_like(site), site)
+        assert rejected.size == flipped.size == corrupt.size == 0
 
     def test_sensitive_outer_reaches_distance(self):
         outer = build_biregular(6, 1, 1, 4, seed=0)
