@@ -270,6 +270,9 @@ def _report_record(report: PipelineReport) -> dict[str, Any]:
 # ---------------------------------------------------------------- subcommands
 
 
+_GV_COLUMNS = ("n", "k_single", "k_double", "d", "gamma", "status")
+
+
 def cmd_gv_search(config: dict[str, Any]) -> Output:
     n_min, n_max, step = config["n_min"], config["n_max"], config["step"]
     if n_min < 0 or step < 1:
@@ -295,8 +298,7 @@ def cmd_gv_search(config: dict[str, Any]) -> Output:
                 row["status"] = f"infeasible: {exc}"
         rows.append(row)
 
-    columns = ("n", "k_single", "k_double", "d", "gamma", "status")
-    csv_rows = [",".join(str(r.get(c, "")) for c in columns) for r in rows]
+    csv_rows = [",".join(str(r.get(c, "")) for c in _GV_COLUMNS) for r in rows]
     return Output(rows, csv_rows=csv_rows)
 
 
@@ -518,7 +520,7 @@ COMMANDS = {command.name: command for command in (
         Option("n_min", 0, INT, "first block length"),
         Option("n_max", -1, INT, "last block length"),
         Option("step", 1, INT, "block length step"),
-    ), csv_header="n,k_single,k_double,d,gamma,status"),
+    ), csv_header=",".join(_GV_COLUMNS)),
     Command("validate-code", "check a shipped or user check matrix", cmd_validate_code, (
         Option("code", None, STR, "library code name (steane, rm15)"),
         _MATRIX_FILE,
@@ -555,8 +557,8 @@ COMMANDS = {command.name: command for command in (
     )),
     Command("compare", "rate-vs-error comparison dataset", cmd_compare, (
         Option("pre_rounds_max", 6, INT, "longest repeated 15-to-1 chain"),
-        Option("specs", [{"pre_rounds": 3, "inner": [149, 117, 5]},
-                         {"pre_rounds": 4, "inner": [8104, 8002, 9]}], SPECS),
+        Option("specs", [{"pre_rounds": p, "inner": inner} for _, inner, p, *_ in _TABLE_S1],
+               SPECS),
         Option("eps_in", DEFAULT_INPUT_ERROR, FLOAT, "raw input error rate of all three series"),
         _SUCCESS_EPS,
     ), csv_header=CSV_HEADER),

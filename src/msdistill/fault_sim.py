@@ -111,26 +111,12 @@ class SimReport:
         }
 
 
-def _csr(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(pointers, indices): row i's nonzero columns are indices[pointers[i] : pointers[i + 1]]."""
-    rows, cols = np.nonzero(matrix)
-    return np.searchsorted(rows, np.arange(len(matrix) + 1)), cols
-
-
-def _expand(csr: tuple[np.ndarray, np.ndarray], items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(owner, index) for every CSR index of every item; owner is the item's position."""
-    pointers, indices = csr
-    starts, counts = pointers[items], pointers[items + 1] - pointers[items]
-    owner = np.repeat(np.arange(len(items)), counts)
-    offset = np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
-    return owner, indices[starts[owner] + offset]
-
-
 @dataclass(frozen=True)
 class _Kernel:
     """Precomputed arrays shared by every verdict on one instance in one mode.
 
-    The outer matrix is held by columns: the checks each data state enters.
+    The outer matrix is held as a padded table: row i lists the checks that
+    data state i enters, ascending, then -1 up to the largest column weight.
     Exact mode holds, for each inner qubit, a packed mask of the rows of [H; K]
     that contain it (H the inner check matrix in the leading words, K the row
     space's parity checks).
@@ -139,14 +125,18 @@ class _Kernel:
     num_data: int
     num_checks: int
     params: CssCodeParams
-    data_checks: tuple[np.ndarray, np.ndarray]  # CSR over data states of the outer matrix
+    data_checks: np.ndarray  # (a_n, max column weight) check indices, padded with -1
     qubit_rows: np.ndarray | None  # (n_q, words) uint64 masks of [H; K], exact mode only
     syndrome_words: int  # the leading words of a mask, which hold H's rows
 
     @classmethod
     def build(cls, instance: ProtocolInstance, mode: str) -> "_Kernel":
-        outer, params = instance.outer.matrix.to_array(), instance.inner.params
-        common = (instance.num_data, instance.num_checks, params, _csr(outer.T))
+        incidence = instance.outer.matrix.to_array().T.astype(bool)  # (a_n, m)
+        width = int(incidence.sum(axis=1).max(initial=0))
+        # a stable sort brings each data state's checks to the front, in ascending order
+        order = np.argsort(~incidence, axis=1, kind="stable")[:, :width]
+        data_checks = np.where(np.take_along_axis(incidence, order, axis=1), order, -1)
+        common = (instance.num_data, instance.num_checks, instance.inner.params, data_checks)
         if mode == "idealized":
             return cls(*common, None, 0)
         if mode == "exact":
@@ -212,8 +202,8 @@ def _verdicts(
     """
     m, a_n, n_q = kernel.num_checks, kernel.num_data, kernel.params.n_q
     data = site < a_n
-    owner, check = _expand(kernel.data_checks, site[data])
-    data_flips = trial[data][owner] * m + check
+    checks = kernel.data_checks[site[data]]
+    data_flips = (trial[data][:, None] * m + checks)[checks >= 0]
 
     # (trial, check, qubit) of each slot fault, sorted: the two slots of a qubit are adjacent
     slot = trial[~data] * (m * n_q) + (site[~data] - a_n) // 2
@@ -223,13 +213,14 @@ def _verdicts(
     flipped = keys[counts % 2 == 1]
 
     home = single // n_q  # each single's key trial * m + check, sorted
+    start = np.flatnonzero(np.diff(home, prepend=-1))  # where each check's run of singles begins
+    keys = home[start]
     if kernel.qubit_rows is None:
-        keys, weight = np.unique(home, return_counts=True)
+        weight = np.diff(start, append=len(home))
         return keys[weight < kernel.params.d_q], flipped, keys[weight >= kernel.params.d_q]
     # each check's residual parities: the XOR over its run of singles of their [H; K] masks
-    start = np.flatnonzero(np.diff(home, prepend=-1))
     parity = np.bitwise_xor.reduceat(kernel.qubit_rows[single % n_q], start)
-    keys, rejected = home[start], parity[:, : kernel.syndrome_words].any(axis=1)
+    rejected = parity[:, : kernel.syndrome_words].any(axis=1)
     return keys[rejected], flipped, keys[~rejected & parity.any(axis=1)]
 
 

@@ -67,9 +67,6 @@ class BinMatrix:
     def identity(cls, n: int) -> "BinMatrix":
         return cls(n, n, tuple(1 << i for i in range(n)))
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.row_bits[i] >> j) & 1
-
     def column_bits(self) -> tuple[int, ...]:
         """Columns packed as integers (bit ``i`` of column word is row ``i``)."""
         cols = [0] * self.cols

@@ -68,12 +68,14 @@ def girth(code: OuterCode | BinMatrix) -> float:
     Every cycle holds a check, so a level-synchronous BFS runs from each check
     over packed masks (check -> bits, bit -> checks). The first level L at
     which an unseen vertex is reached from two frontier vertices closes a
-    cycle of length at most 2L, and a check on a shortest cycle meets it.
+    cycle of length at most 2L, and a check on a shortest cycle meets it. An
+    :class:`OuterCode` answers from its cached :attr:`OuterCode.tanner_girth`.
     """
-    matrix = code.matrix if isinstance(code, OuterCode) else code
-    neighbors = (matrix.row_bits, matrix.column_bits())  # by side: checks, bits
+    if isinstance(code, OuterCode):
+        return code.tanner_girth
+    neighbors = (code.row_bits, code.column_bits())  # by side: checks, bits
     best = INFINITE_GIRTH
-    for start in range(matrix.rows):
+    for start in range(code.rows):
         seen, frontier, side, level = [1 << start, 0], 1 << start, 0, 0
         while frontier and 2 * level + 2 < best:
             level += 1
@@ -113,19 +115,15 @@ def _replay_stream(rng: random.Random) -> np.random.Generator:
     return np.random.Generator(bit_generator)
 
 
-def _peg_attempt(
-    a_n: int, m: int, w: int, s: int, rng: random.Random
-) -> tuple[BinMatrix, float] | None:
-    """One progressive-edge-growth pass: (matrix, Tanner girth), or None if it gets stuck.
+def _peg_attempt(a_n: int, m: int, w: int, s: int, rng: random.Random) -> BinMatrix | None:
+    """One progressive-edge-growth pass: the matrix, or None if it gets stuck.
 
     Bit by bit, each of its s edges goes to the open check (degree < w, not
     yet adjacent) farthest from the bit in the current graph, unreached checks
     first, then the lowest degree, then the lowest draw, then the lowest
     index. Every open candidate consumes one ``rng.random()`` draw per edge,
     in ascending check order; the draws are replayed through numpy's MT19937
-    (:func:`_replay_stream`). The girth is derived from PEG itself: an edge
-    to a check at distance d closes a shortest new cycle of length d + 1, so
-    the girth is the minimum of that over edges (inf if no edge closes one).
+    (:func:`_replay_stream`).
     """
     draws = _replay_stream(rng)
     n_bytes = (m + 7) // 8
@@ -141,7 +139,6 @@ def _peg_attempt(
     two_step = [0] * m
     degree = np.zeros(m, dtype=np.int64)
     open_checks = (1 << m) - 1
-    tanner_girth = INFINITE_GIRTH
     for bit in range(a_n):
         placed: list[int] = []
         for _ in range(s):
@@ -151,22 +148,19 @@ def _peg_attempt(
             # BFS by check distance 1, 3, 5, ..., stopping at the level that
             # reaches the last candidate or when nothing new is reached
             reached = level = bit_checks[bit]
-            dist = 1
             while candidates & ~reached:
                 step = 0
                 for c in members(level).nonzero()[0].tolist():
                     step |= two_step[c]
                 level = step & ~reached
                 if not level:
-                    level, dist = candidates & ~reached, INFINITE_GIRTH
+                    level = candidates & ~reached
                     break
                 reached |= level
-                dist += 2
             cand = members(candidates).nonzero()[0]
             r = draws.random(cand.size)
             key = degree[cand] + w * ~members(level)[cand]
             chosen = int(cand[np.where(key == key.min(), r, 2.0).argmin()])
-            tanner_girth = min(tanner_girth, dist + 1)
             chosen_mask = 1 << chosen
             bit_checks[bit] |= chosen_mask
             check_bits[chosen] |= 1 << bit
@@ -177,7 +171,7 @@ def _peg_attempt(
             degree[chosen] += 1
             if degree[chosen] == w:
                 open_checks &= ~chosen_mask
-    return BinMatrix(m, a_n, tuple(check_bits)), tanner_girth
+    return BinMatrix(m, a_n, tuple(check_bits))
 
 
 def build_biregular(
@@ -195,9 +189,9 @@ def build_biregular(
     tie-breaking. Attempt ``a`` draws from ``random.Random(seed * 1_000_003 +
     a)``, replayed through numpy's MT19937, one draw per open candidate check
     per edge, so a fixed seed always builds the same code. Each attempt runs
-    to the end; its girth is the one PEG derives (see :func:`_peg_attempt`).
-    Raises ConstructionError (carrying the best girth seen) if the retry
-    budget runs out.
+    to the end, and a code that passes the degree audit is judged by its
+    :attr:`OuterCode.tanner_girth`, which it keeps. Raises ConstructionError
+    (carrying the best girth seen) if the retry budget runs out.
     """
     if w < 1 or s < 1:
         raise ValueError("degrees must be >= 1")
@@ -209,13 +203,13 @@ def build_biregular(
 
     best: float | None = None
     for attempt in range(max_attempts):
-        built = _peg_attempt(a_n, m, w, s, random.Random(seed * 1_000_003 + attempt))
-        if built is None:
+        matrix = _peg_attempt(a_n, m, w, s, random.Random(seed * 1_000_003 + attempt))
+        if matrix is None:
             continue
-        matrix, g = built
         code = OuterCode(matrix, w, s)
         if not code.degree_audit():
             continue
+        g = code.tanner_girth
         if best is None or g > best:
             best = g
         if g >= girth_target:

@@ -41,7 +41,7 @@ def enumerate_truncated(
     n_q = instance.inner.params.n_q
     d = instance.inner.params.d_q
     row_support = [
-        [i for i in range(a_n) if instance.outer.matrix.entry(j, i)] for j in range(m)
+        [i for i in range(a_n) if (instance.outer.matrix.row_bits[j] >> i) & 1] for j in range(m)
     ]
 
     sites: list[tuple] = [("data", i) for i in range(a_n)]
@@ -103,7 +103,7 @@ def oracle_min_weight(instance: ProtocolInstance, weight_max: int) -> int | None
         for support in combinations(range(a_n), weight):
             violated = 0
             for j in range(matrix.rows):
-                parity = sum(matrix.entry(j, i) for i in support) % 2
+                parity = sum((matrix.row_bits[j] >> i) & 1 for i in support) % 2
                 violated += parity
             cost = weight + 2 * violated
             if cost <= weight_max and (best is None or cost < best):
@@ -288,7 +288,8 @@ def oracle_verdicts(
     verdicts: tuple[set, set, set] = (set(), set(), set())
     for trial, sites in by_trial.items():
         for j in range(m):
-            outcome = sum(1 for i in range(a_n) if i in sites and instance.outer.matrix.entry(j, i))
+            row = instance.outer.matrix.row_bits[j]
+            outcome = sum(1 for i in range(a_n) if i in sites and (row >> i) & 1)
             residual = 0
             for q in range(n_q):
                 first = a_n + 2 * (j * n_q + q)

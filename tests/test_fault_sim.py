@@ -6,7 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from strategies import bin_matrices
 
@@ -199,8 +199,30 @@ def fault_lists(draw):
     return inst, sorted(faults)
 
 
+def padding_extremes() -> tuple[ProtocolInstance, list[tuple[int, int]]]:
+    """Uneven column weights 0, 3, 1, 2 under faults on every data state.
+
+    In trial 0 check 0 holds d - 1 = 2 singles, check 1 holds d = 3 singles
+    (a logical) around a double, and check 2 holds a double; trial 1 faults
+    the data state that every check holds and a single on check 2.
+    """
+    inst = ProtocolInstance(STEANE, OuterCode(BinMatrix(3, 4, (0b1110, 0b1010, 0b0010)), 0, 0),
+                            strict=False)
+    n_q = STEANE.params.n_q
+
+    def slot(check, qubit, t=0):
+        return inst.num_data + 2 * (check * n_q + qubit) + t
+
+    faults = [(0, i) for i in range(4)] + [(0, slot(0, q)) for q in (0, 1)]
+    faults += [(0, slot(1, q)) for q in (0, 3, 4)] + [(0, slot(1, 1)), (0, slot(1, 1, 1))]
+    faults += [(0, slot(2, 5)), (0, slot(2, 5, 1)), (1, 1), (1, slot(2, 6))]
+    return inst, sorted(faults)
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=fault_lists(), mode=st.sampled_from(["idealized", "exact"]))
+@example(case=padding_extremes(), mode="idealized")
+@example(case=padding_extremes(), mode="exact")
 def test_verdicts_match_the_per_check_oracle(case, mode):
     inst, faults = case
     trial = np.array([t for t, _ in faults], dtype=np.int64)

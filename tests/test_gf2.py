@@ -47,7 +47,7 @@ class TestBinMatrix:
         assert arr.shape == (a.rows, a.cols) and arr.dtype == np.uint8
         for i in range(a.rows):
             for j in range(a.cols):
-                assert arr[i, j] == a.entry(i, j)
+                assert arr[i, j] == (a.row_bits[i] >> j) & 1
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (3, 0), (4, 13), (5, 64), (2, 71)])
     def test_to_array_shapes(self, shape):

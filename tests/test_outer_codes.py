@@ -78,7 +78,7 @@ def peg_shapes(draw):
 
 
 class TestPegMatchesOracle:
-    """The bulk-draw PEG builds the tuple-list PEG's matrix, and knows its girth."""
+    """The bulk-draw PEG builds the tuple-list PEG's matrix, and a built code keeps the oracle's girth."""
 
     def test_replayed_stream_is_random_random(self):
         for seed in (0, 1, 1_000_003 * 7 + 3):
@@ -91,18 +91,24 @@ class TestPegMatchesOracle:
     # stuck: s = 3 edges per bit but only two checks
     @example((2, 3, 3), 0, 0)
     @example((60, 3, 3), 1, 0)
-    def test_same_matrix_and_derived_girth(self, shape, seed, attempt):
+    def test_same_matrix(self, shape, seed, attempt):
         a_n, w, s = shape
         m = a_n * s // w
         stream = seed * 1_000_003 + attempt
         expected = oracle_peg_attempt(a_n, m, w, s, random.Random(stream))
-        built = _peg_attempt(a_n, m, w, s, random.Random(stream))
-        if expected is None:
-            assert built is None
+        assert _peg_attempt(a_n, m, w, s, random.Random(stream)) == expected
+
+    @settings(deadline=None, max_examples=60)
+    @given(peg_shapes(), st.integers(0, 10**6))
+    @example((4, 2, 2), 1)  # girth 8, the ConstructionError test's best
+    @example((60, 3, 3), 1)
+    def test_built_code_keeps_its_girth(self, shape, seed):
+        a_n, w, s = shape
+        try:
+            code = build_biregular(a_n, w, s, 4, seed, max_attempts=3)
+        except ConstructionError:  # every attempt got stuck
             return
-        matrix, tanner_girth = built
-        assert matrix == expected
-        assert tanner_girth == oracle_girth(matrix)
+        assert code.tanner_girth == oracle_girth(code.matrix) == girth(code)
 
 
 class TestPinnedSchedules:
