@@ -18,7 +18,7 @@ def main() -> None:
           f"edge identity: {code.num_checks * 3} = {code.num_bits * 3}")
     print(f"girth: {girth(code)}")
 
-    ok, witness = check_sensitivity(code.matrix, 2, 2)
+    ok, witness = check_sensitivity(code, 2, 2)
     print(f"(2,2)-sensitivity: {ok}")
 
     # Girth 2*d_tilde is not enough: a (4,2)-biregular graph at girth 8 can
@@ -31,7 +31,7 @@ def main() -> None:
     for right in range(4):
         rows.append([1 if bit % 4 == right else 0 for bit in range(16)])
     risky = OuterCode(BinMatrix.from_rows(rows), 4, 2)
-    ok, witness = check_sensitivity(risky.matrix, 4, 2)
+    ok, witness = check_sensitivity(risky, 4, 2)
     print(f"\n(4,2)-biregular schedule at girth {girth(risky)}: sensitivity "
           f"(weight<=4, >=2 checks) -> {ok}")
     if witness is not None:

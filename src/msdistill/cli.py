@@ -356,11 +356,11 @@ def cmd_check_sensitivity(config: dict[str, Any]) -> Output:
     with open(config["matrix_file"], "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        matrix = OuterCode.from_text(text).matrix
+        code = OuterCode.from_text(text)
     except ValueError:
-        matrix = BinMatrix.from_text(text)
+        code = BinMatrix.from_text(text)
     try:
-        ok, witness = check_sensitivity(matrix, config["d_tilde"], config["s_req"])
+        ok, witness = check_sensitivity(code, config["d_tilde"], config["s_req"])
     except ValueError as exc:
         raise InfeasibleError(str(exc)) from exc
     results: dict[str, Any] = {"sensitive": ok}
@@ -572,7 +572,8 @@ COMMANDS = {command.name: command for command in (
         Option("mode", "idealized", STR, "check model", choices=("idealized", "exact")),
         Option("corruption", "erroneous", STR, "count corrupted accepted trials as errors, "
                "or reject them", choices=("erroneous", "reject")),
-        Option("workers", None, INT, "worker threads (default: one per core)"),
+        Option("workers", None, INT, "worker threads, each deciding a strided share of the blocks in "
+               "batches (default: one per core)"),
         Option("block_size", DEFAULT_BLOCK_SIZE, INT, "trials per RNG block"),
     ), csv_header="eps,eps_out,ci_low_or_events,ci_high"),
     Command("table-s1", "published-vs-recomputed finite-size rows", cmd_table_s1, (

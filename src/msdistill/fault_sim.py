@@ -10,9 +10,12 @@ verdict decides every check of the trials that the Monte Carlo sampler drew.
 The sampler draws only the faulty sites (the gaps between faults are
 geometric), so its cost, memory included, scales with trials x sites x eps and
 no trial x site grid is built. A fault-free trial is accepted and not
-erroneous. Exact mode XORs each check's single-slot faults' packed row masks
-into its parities. ``min_undetected_weight`` needs no verdict: its lightest
-accepted pattern has a closed form over the outer matrix alone.
+erroneous. Each worker takes a strided share of the blocks and packs their
+faults into fault lists of up to MAX_CHUNK_FAULTS faults, one verdict each, so
+small blocks at small eps share the verdict's fixed cost. Exact mode XORs each
+check's single-slot faults' packed row masks into its parities.
+``min_undetected_weight`` needs no verdict: its lightest accepted pattern has
+a closed form over the outer matrix alone.
 """
 from __future__ import annotations
 
@@ -49,7 +52,7 @@ class ProtocolInstance:
                 raise ValueError(
                     f"outer check degree {self.outer.check_degree} != inner k {k}"
                 )
-            ok, witness = check_sensitivity(self.outer.matrix, d - 1, (d - 1) // 2)
+            ok, witness = check_sensitivity(self.outer, d - 1, (d - 1) // 2)
             if not ok:
                 raise ValueError(f"outer schedule fails sensitivity: {witness}")
 
@@ -241,30 +244,63 @@ def _tally(
     return int(accept.sum()), int(erroneous.sum()), int(data[accept].sum())
 
 
-def _simulate_block(
-    kernel: _Kernel, eps: float, seed: int, block_index: int, block_size: int, corruption: str
-) -> tuple[int, int, int]:
-    """Returns (accepted, erroneous_accepted, data_flips_accepted) for one block.
+def _fault_lists(
+    chunks: Iterator[np.ndarray], sites: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+    """Packs chunks of sorted fault positions into (trial, site, rows) fault lists.
 
-    Each chunk of drawn faults becomes a fault list over the trials it
-    touches, renumbered in order, and only those trials are decided; a
+    The chunks go into one buffer, each chunk's touched trials renumbered
+    after those already there (a chunk never splits a trial). The buffer is
+    yielded before a chunk that would take it past MAX_CHUNK_FAULTS faults,
+    and at the end. A chunk of :func:`_fault_positions` holds at most
+    MAX_CHUNK_FAULTS faults plus one held-back trial, so the buffer takes any
+    chunk, and one that is longer than MAX_CHUNK_FAULTS is yielded alone. The
+    next step overwrites a yielded list, so decide it before asking for the
+    next.
+    """
+    buffer = np.empty((2, MAX_CHUNK_FAULTS + sites), dtype=np.int64)
+    filled = rows = 0
+    for positions in chunks:
+        n = len(positions)
+        if filled + n > MAX_CHUNK_FAULTS and filled:
+            yield buffer[0, :filled], buffer[1, :filled], rows
+            filled = rows = 0
+        trial, site = buffer[:, filled : filled + n]
+        np.divmod(positions, sites, out=(trial, site))
+        # renumber the touched trials rows, rows + 1, ... in order: the positions are sorted
+        changed = trial[1:] != trial[:-1]
+        trial[0] = rows
+        np.cumsum(changed, out=trial[1:])
+        trial[1:] += rows
+        filled += n
+        rows = int(trial[-1]) + 1
+    if filled:
+        yield buffer[0, :filled], buffer[1, :filled], rows
+
+
+def _simulate_share(
+    kernel: _Kernel, eps: float, seed: int, blocks: list[tuple[int, int]], corruption: str
+) -> tuple[int, int, int]:
+    """(accepted, erroneous_accepted, data_flips_accepted) over one worker's blocks.
+
+    ``blocks`` lists (index, size) pairs. Block i draws from its own Philox
+    stream keyed by (seed, i), so the counts do not depend on the worker. One
+    :func:`_tally` decides each fault list that :func:`_fault_lists` packs; a
     fault-free trial is accepted and not erroneous in both modes and under
     both conventions.
     """
-    n_sites = hadamard_step_counts(kernel.params, kernel.num_data, kernel.num_checks)
+    sites = hadamard_step_counts(kernel.params, kernel.num_data, kernel.num_checks)
+    mask = (1 << 64) - 1
 
-    key = ((seed & ((1 << 64) - 1)) << 64) | (block_index & ((1 << 64) - 1))
-    rng = np.random.Generator(np.random.Philox(key=key))
+    def chunks() -> Iterator[np.ndarray]:
+        for index, size in blocks:
+            rng = np.random.Generator(np.random.Philox(key=((seed & mask) << 64) | (index & mask)))
+            yield from _fault_positions(rng, eps, size, sites)
 
-    accepted, erroneous, flips = block_size, 0, 0
-    for positions in _fault_positions(rng, eps, block_size, n_sites):
-        trial, site = np.divmod(positions, n_sites)
-        # renumber the touched trials 0, 1, ... in order: the positions are sorted
-        row = np.zeros(len(trial), dtype=np.int64)
-        np.cumsum(trial[1:] != trial[:-1], out=row[1:])
-        touched = int(row[-1]) + 1
-        acc, err, flip = _tally(kernel, row, site, touched, corruption)
-        accepted += acc - touched
+    accepted, erroneous, flips = sum(size for _, size in blocks), 0, 0
+    for trial, site, rows in _fault_lists(chunks(), sites):
+        acc, err, flip = _tally(kernel, trial, site, rows, corruption)
+        accepted += acc - rows
         erroneous += err
         flips += flip
     return accepted, erroneous, flips
@@ -286,9 +322,13 @@ def monte_carlo(
     Only the faulty sites are drawn (geometric gaps between faults), so the
     cost scales with trials x fault sites x eps, and only the trials holding a
     fault are decided. The RNG is counter-based and keyed by (seed, block
-    index) with a fixed block size, so results are bit-identical for any
-    worker count. This sparse draw replaced a dense one, so a given seed
-    yields different, equally distributed counts than earlier versions did.
+    index) with a fixed block size. Worker w of W takes blocks w, w + W, ...
+    in one job and decides their faults in batches of up to MAX_CHUNK_FAULTS
+    (:func:`_simulate_share`); the counts are sums over trials, so results
+    are bit-identical for any worker count. ``workers=None`` runs one worker
+    per core, and never more workers than blocks. This sparse draw replaced a
+    dense one, so a given seed yields different, equally distributed counts
+    than earlier versions did.
     """
     if not 0 <= eps < 0.5:
         raise ValueError("eps must be in [0, 0.5)")
@@ -303,18 +343,19 @@ def monte_carlo(
 
     kernel = _Kernel.build(instance, mode)
     n_blocks = (trials + block_size - 1) // block_size
-    sizes = [block_size] * (n_blocks - 1) + [trials - block_size * (n_blocks - 1)]
-
-    def job(index: int) -> tuple[int, int, int]:
-        return _simulate_block(kernel, eps, seed, index, sizes[index], corruption)
-
+    blocks = [(i, min(block_size, trials - i * block_size)) for i in range(n_blocks)]
     if workers is None:
-        workers = min(n_blocks, os.cpu_count() or 1)
-    if workers <= 1 or n_blocks == 1:
-        results = [job(i) for i in range(n_blocks)]
+        workers = os.cpu_count() or 1
+    workers = min(workers, n_blocks)
+
+    def share(first: int) -> tuple[int, int, int]:
+        return _simulate_share(kernel, eps, seed, blocks[first::workers], corruption)
+
+    if workers == 1:
+        results = [share(0)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, range(n_blocks)))
+            results = list(pool.map(share, range(workers)))
 
     accepted, erroneous, flips = map(sum, zip(*results))
     return SimReport(trials, accepted, erroneous, flips, eps, seed, mode, corruption)

@@ -221,7 +221,7 @@ def build_biregular(
     )
 
 
-def _girth_certifies(matrix: BinMatrix, d_tilde: int, s_req: int) -> bool:
+def _girth_certifies(code: OuterCode | BinMatrix, d_tilde: int, s_req: int) -> bool:
     """True if column weights and Tanner girth prove (d_tilde, s_req)-sensitivity.
 
     Take a pattern of w <= d_tilde bits and the checks it hits at least
@@ -231,31 +231,33 @@ def _girth_certifies(matrix: BinMatrix, d_tilde: int, s_req: int) -> bool:
     violated: at least w(s_min - 2) + 2 of them, whose least over 1 <= w <=
     d_tilde is min(s_min, d_tilde(s_min - 2) + 2) (Tanner 1981; Sipser &
     Spielman 1996). The degree bound is checked first; girth only if it
-    reaches s_req.
+    reaches s_req, and an :class:`OuterCode` gives its cached girth.
     """
+    matrix = code.matrix if isinstance(code, OuterCode) else code
     s_min = min((c.bit_count() for c in matrix.column_bits()), default=0)
     if min(s_min, d_tilde * (s_min - 2) + 2) < s_req:
         return False
-    return girth(matrix) > 2 * d_tilde
+    return girth(code) > 2 * d_tilde
 
 
 def check_sensitivity(
-    matrix: BinMatrix, d_tilde: int, s_req: int
+    code: OuterCode | BinMatrix, d_tilde: int, s_req: int
 ) -> tuple[bool, SensitivityWitness | None]:
     """Verify that every nonzero pattern of weight <= d_tilde violates >= s_req checks.
 
     A True verdict is a proof either way it is reached. The girth bound
     (:func:`_girth_certifies`: column weight, and Tanner girth > 2 * d_tilde,
-    both computed from the matrix) is tried first. If it does not decide,
-    every pattern is enumerated through :func:`gf2.low_weight_syndromes`, so
-    a False verdict always comes from enumeration; the witness is the first
-    failing pattern, taking weights in ascending order and the supports of
-    one weight in lexicographic order. Only this path is refused up front,
-    through :func:`gf2.exhaustive_guard`, when the patterns up to weight
-    d_tilde pass the guard.
+    an :class:`OuterCode` answering from its cached girth) is tried first. If
+    it does not decide, every pattern is enumerated through
+    :func:`gf2.low_weight_syndromes`, so a False verdict always comes from
+    enumeration; the witness is the first failing pattern, taking weights in
+    ascending order and the supports of one weight in lexicographic order.
+    Only this path is refused up front, through :func:`gf2.exhaustive_guard`,
+    when the patterns up to weight d_tilde pass the guard.
     """
-    if _girth_certifies(matrix, d_tilde, s_req):
+    if _girth_certifies(code, d_tilde, s_req):
         return True, None
+    matrix = code.matrix if isinstance(code, OuterCode) else code
     exhaustive_guard(matrix.cols, d_tilde)
     for supports, syndromes in low_weight_syndromes(matrix, d_tilde):
         violated = np.bitwise_count(syndromes).sum(axis=1, dtype=np.int64)

@@ -16,13 +16,15 @@ from conftest import (
     oracle_residual_classes,
     oracle_verdicts,
 )
+from msdistill import fault_sim, outer_codes
 from msdistill.fault_sim import (
     MAX_CHUNK_FAULTS,
     ProtocolInstance,
     SimReport,
+    _fault_lists,
     _fault_positions,
     _Kernel,
-    _simulate_block,
+    _simulate_share,
     _verdicts,
     make_single_check_instance,
     min_undetected_weight,
@@ -272,6 +274,22 @@ class TestProtocolInstance:
         inst = ProtocolInstance(STEANE, outer)
         assert inst.fault_sites == 6 + 2 * 7 * 6
 
+    def test_strict_check_reuses_the_built_girth(self, monkeypatch):
+        bfs = []
+        real = outer_codes.girth
+
+        def counted(code):
+            bfs.append(isinstance(code, BinMatrix))
+            return real(code)
+
+        monkeypatch.setattr(outer_codes, "girth", counted)
+        outer = build_biregular(60, 3, 3, 6, 1)
+        built = sum(bfs)
+        # only k = 3 and d = 3 enter the strict check: degree 3, (2, 1)-sensitivity
+        inner = WeaklySelfDualCode(CssCodeParams(7, 3, 3), STEANE.check)
+        ProtocolInstance(inner, outer)
+        assert built >= 1 and sum(bfs) == built
+
     def test_site_count(self):
         assert steane_identity_instance().fault_sites == 60
 
@@ -333,6 +351,26 @@ class TestFaultPositions:
         assert reference[-1] >= cells
         assert np.array_equal(positions, reference[reference < cells])
 
+    def test_fault_lists_repack_the_chunks(self):
+        sites = 60
+        sizes = [12_000, 100, 100, 100, 12_000, 100, 12_000]
+        chunks = [c for key, size in enumerate(sizes)
+                  for c in _fault_positions(philox(key), 0.3, size, sites)]
+        assert max(map(len, chunks)) > MAX_CHUNK_FAULTS  # a held-back trial pushed one past
+        # copies: each yielded list is overwritten by the next
+        lists = [(t.copy(), s.copy(), rows) for t, s, rows in _fault_lists(iter(chunks), sites)]
+        oversized = {len(c) for c in chunks if len(c) > MAX_CHUNK_FAULTS}
+        assert all(len(t) <= MAX_CHUNK_FAULTS or len(t) in oversized for t, _, _ in lists)
+        assert len(lists) < len(chunks)
+        site = np.concatenate([s for _, s, _ in lists])
+        assert np.array_equal(site, np.concatenate(chunks) % sites)
+        for trial, _, rows in lists:
+            assert trial[0] == 0 and trial[-1] == rows - 1
+            assert set(np.diff(trial).tolist()) <= {0, 1}
+        # each chunk's trials are new rows, and a chunk's trial boundaries are kept
+        boundaries = sum(len(np.unique(c // sites)) for c in chunks)
+        assert sum(rows for _, _, rows in lists) == boundaries
+
 
 class TestMonteCarlo:
     def test_zero_eps(self):
@@ -387,6 +425,48 @@ class TestMonteCarlo:
         threaded = monte_carlo(inst, eps, trials, seed, workers=3, **kwargs)
         assert 0 <= serial.erroneous_accepted <= serial.accepted <= serial.trials == trials
         assert serial == threaded
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("mode, eps, block_size, trials, counts", [
+        ("idealized", 1e-3, 1, 2000, (1882, 0, 0)),
+        ("exact", 1e-3, 1, 2000, (1882, 0, 0)),
+        ("idealized", 1e-3, 7, 5000, (4712, 0, 0)),
+        ("exact", 1e-3, 7, 5000, (4712, 0, 0)),
+        ("idealized", 1e-3, 1 << 16, (1 << 17) + 4321, (127433, 0, 0)),
+        ("exact", 1e-3, 1 << 16, (1 << 17) + 4321, (127433, 0, 0)),
+        ("idealized", 0.3, 1, 2000, (35, 35, 24)),
+        ("exact", 0.3, 1, 2000, (0, 0, 0)),
+        ("idealized", 0.3, 7, 5000, (84, 84, 60)),
+        ("exact", 0.3, 7, 5000, (0, 0, 0)),
+        ("idealized", 0.3, 1 << 16, (1 << 17) + 4321, (2307, 2307, 1668)),
+        ("exact", 0.3, 1 << 16, (1 << 17) + 4321, (4, 4, 4)),
+    ])
+    def test_seed_pins_counts_across_blocks_and_workers(
+        self, mode, eps, block_size, trials, counts, workers
+    ):
+        # counts recorded when each block was decided on its own, chunk by chunk:
+        # batching the chunks of several blocks into one fault list must not move them
+        report = monte_carlo(steane_identity_instance(), eps, trials, 11, mode=mode,
+                             workers=workers, block_size=block_size)
+        assert report == SimReport(trials, *counts, eps, 11, mode, "erroneous")
+
+    def test_one_tally_per_full_fault_list(self, monkeypatch):
+        # 3000 one-trial blocks: their chunks share fault lists instead of one verdict each
+        calls, faults = [], []
+
+        def counted(kernel, trial, site, rows, corruption):
+            calls.append(rows)
+            faults.append(len(trial))
+            return real(kernel, trial, site, rows, corruption)
+
+        real = fault_sim._tally
+        monkeypatch.setattr(fault_sim, "_tally", counted)
+        inst = steane_identity_instance()
+        report = monte_carlo(inst, 0.3, 3000, 5, block_size=1, workers=1)
+        monkeypatch.undo()
+        assert len(calls) <= math.ceil(sum(faults) / MAX_CHUNK_FAULTS) + 1
+        assert sum(calls) <= report.trials
+        assert report == monte_carlo(inst, 0.3, 3000, 5, block_size=1, workers=2)
 
     def test_matches_truncated_enumeration(self):
         inst = steane_identity_instance()
@@ -483,16 +563,23 @@ class TestPegSchedule:
         as_pairs = tuple({divmod(int(k), inst.num_checks) for k in keys} for keys in found)
         assert as_pairs == oracle_verdicts(inst, "exact", list(zip(trial.tolist(), site.tolist())))
 
-    def test_block_memory_stays_small(self):
-        # a trial x site grid of this block took about 43 MB at its peak
-        kernel = _Kernel.build(self.instance(), "exact")
+    @staticmethod
+    def share_peak(eps, blocks):
+        kernel = _Kernel.build(TestPegSchedule.instance(), "exact")
         tracemalloc.start()
         try:
-            _simulate_block(kernel, 1e-3, 7, 0, 1 << 14, "erroneous")
-            peak = tracemalloc.get_traced_memory()[1]
+            _simulate_share(kernel, eps, 7, blocks, "erroneous")
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16e6
+
+    def test_block_memory_stays_small(self):
+        # a trial x site grid of this block took about 43 MB at its peak
+        assert self.share_peak(1e-3, [(0, 1 << 14)]) < 16e6
+
+    def test_worker_share_memory_stays_small(self):
+        # one worker's share of 64 blocks: their chunks fill shared fault lists
+        assert self.share_peak(1e-2, [(i, 1 << 10) for i in range(0, 128, 2)]) < 16e6
 
 
 class TestSingleCheck:

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from strategies import bin_matrices, random_matrix
 
+from msdistill import outer_codes
 from msdistill.gf2 import BinMatrix, exhaustive_guard
 from msdistill.inner_codes import CssCodeParams
 from msdistill.outer_codes import (
@@ -351,6 +352,38 @@ class TestGirthCertificate:
         ok, witness = check_sensitivity(matrix, 4, 2)
         assert not ok
         assert (witness.pattern_bits, witness.weight, witness.violated_checks) == (0x33, 4, 0)
+
+    def test_outer_code_gives_the_matrix_verdict(self):
+        rows = [[int(bit // 4 == v) for bit in range(16)] for v in range(4)]
+        rows += [[int(bit % 4 == v) for bit in range(16)] for v in range(4)]
+        cases = [
+            (OuterCode(BinMatrix.from_rows(rows), 4, 2), [(4, 2), (3, 2)]),
+            (build_biregular(9, 3, 3, 6, seed=7), [(2, 2), (3, 2), (2, 3), (3, 4)]),
+            (build_biregular(24, 3, 2, 10, seed=5), [(4, 2), (4, 3)]),
+            (build_biregular(9, 1, 1, 4, seed=9), [(2, 1)]),
+        ]
+        for code, thresholds in cases:
+            for d_tilde, s_req in thresholds:
+                assert check_sensitivity(code, d_tilde, s_req) == check_sensitivity(
+                    code.matrix, d_tilde, s_req
+                )
+
+    def test_outer_code_reuses_its_girth(self, monkeypatch):
+        bfs = []
+        real = outer_codes.girth
+
+        def counted(code):
+            bfs.append(isinstance(code, BinMatrix))
+            return real(code)
+
+        monkeypatch.setattr(outer_codes, "girth", counted)
+        code = build_biregular(240, 3, 3, 6, 1)
+        built = sum(bfs)
+        assert built >= 1
+        assert check_sensitivity(code, 2, 3) == (True, None)
+        assert sum(bfs) == built
+        assert check_sensitivity(code.matrix, 2, 3) == (True, None)
+        assert sum(bfs) == built + 1
 
 
 class TestOuterSize:
