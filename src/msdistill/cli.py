@@ -7,6 +7,7 @@ results, so any output file can be replayed byte-for-byte with
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -136,7 +137,7 @@ class Option(NamedTuple):
 class Output(NamedTuple):
     results: Any
     metadata: dict[str, Any] | None = None
-    csv_rows: list[str] | None = None
+    csv_rows: Iterable[str] | None = None  # lazy: only ``--format csv`` consumes it
     failure: str | None = None  # the output is still written, then the run exits 2
 
 
@@ -298,7 +299,7 @@ def cmd_gv_search(config: dict[str, Any]) -> Output:
                 row["status"] = f"infeasible: {exc}"
         rows.append(row)
 
-    csv_rows = [",".join(str(r.get(c, "")) for c in _GV_COLUMNS) for r in rows]
+    csv_rows = (",".join(str(r.get(c, "")) for c in _GV_COLUMNS) for r in rows)
     return Output(rows, csv_rows=csv_rows)
 
 
@@ -349,7 +350,7 @@ def cmd_outer_build(config: dict[str, Any]) -> Output:
         "girth": "inf" if math.isinf(g) else int(g),
         "code_text": code.to_text(),
     }
-    return Output(results, csv_rows=[f"{results['a_n']},{results['m']},{results['girth']}"])
+    return Output(results, csv_rows=(f"{r['a_n']},{r['m']},{r['girth']}" for r in [results]))
 
 
 def cmd_check_sensitivity(config: dict[str, Any]) -> Output:
@@ -375,7 +376,7 @@ def cmd_check_sensitivity(config: dict[str, Any]) -> Output:
 
 def cmd_analyze(config: dict[str, Any]) -> Output:
     report = evaluate(_pipeline_spec(config), success_eps=config["success_eps"])
-    return Output(_report_record(report), csv_rows=[report.csv_row()])
+    return Output(_report_record(report), csv_rows=(r.csv_row() for r in [report]))
 
 
 def cmd_search(config: dict[str, Any]) -> Output:
@@ -419,7 +420,7 @@ def cmd_compare(config: dict[str, Any]) -> Output:
          "log10_rate": _fmt_log10(r.log10_rate)}
         for r in rows
     ]
-    return Output(results, metadata=metadata, csv_rows=[r.csv_row() for r in rows])
+    return Output(results, metadata=metadata, csv_rows=(r.csv_row() for r in rows))
 
 
 def _build_instance(config: dict[str, Any]) -> ProtocolInstance:
@@ -451,7 +452,8 @@ def cmd_simulate(config: dict[str, Any]) -> Output:
             results: Any = report.to_json_dict()
             point, lo, hi = report.eps_out_total
             point_text = "" if point is None else f"{point:.6g}"  # no accepted trials
-            csv_rows = [f"{eps_values[0]:.6g},{point_text},{lo:.6g},{hi:.6g}"]
+            csv_rows: Iterable[str] = (f"{eps:.6g},{point_text},{lo:.6g},{hi:.6g}"
+                                       for eps in eps_values)
         else:
             fit = fit_error_order(
                 instance, eps_values, config["trials"], config["seed"], **mc_kwargs
@@ -464,7 +466,7 @@ def cmd_simulate(config: dict[str, Any]) -> Output:
                     for eps, out, events in fit.points
                 ],
             }
-            csv_rows = [f"{eps:.6g},{out:.6g},{events}" for eps, out, events in fit.points]
+            csv_rows = (f"{eps:.6g},{out:.6g},{events}" for eps, out, events in fit.points)
     except ValueError as exc:
         raise InfeasibleError(str(exc)) from exc
     except RuntimeError as exc:  # the slope fit found fewer than two points with events
@@ -481,7 +483,6 @@ _TABLE_S1 = [
 
 def cmd_table_s1(config: dict[str, Any]) -> Output:
     rows = []
-    csv_rows = []
     for label, inner, p, pub_rate, pub_eps_log10 in _TABLE_S1:
         spec = _analyze_spec({"inner": inner, "pre_rounds": p, "eps0": config["eps0"]})
         report = evaluate(spec, success_eps=config["success_eps"])
@@ -497,10 +498,11 @@ def cmd_table_s1(config: dict[str, Any]) -> Output:
                 "computed_log10_eps_out": _fmt_log10(report.eps_out),
             }
         )
-        csv_rows.append(
-            f"{label},{pub_rate:.6g},{_fmt_log10(rate_log10)},"
-            f"{pub_eps_log10},{_fmt_log10(report.eps_out)}"
-        )
+    csv_rows = (
+        f"{r['label']},{r['published_rate']:.6g},{r['computed_log10_rate']},"
+        f"{r['published_log10_eps_out']},{r['computed_log10_eps_out']}"
+        for r in rows
+    )
     return Output(rows, csv_rows=csv_rows)
 
 
@@ -584,8 +586,14 @@ COMMANDS = {command.name: command for command in (
 )}
 
 
-def build_parser(names: Iterable[str] = COMMANDS) -> argparse.ArgumentParser:
-    """The ``msdistill`` parser with subparsers for ``names`` only (default: every command)."""
+@functools.cache
+def build_parser(names: tuple[str, ...] = tuple(COMMANDS)) -> argparse.ArgumentParser:
+    """The ``msdistill`` parser with subparsers for ``names`` only (default: every command).
+
+    Each tuple of names is built once per process and the parser is shared, so do not change
+    it. Sharing is safe: every ``parse_args`` call fills a fresh namespace, and the help width
+    is read when help is printed, not when the parser is built.
+    """
     parser = _Parser(prog="msdistill", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="subcommand", required=True)
@@ -606,9 +614,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Run ``argv`` (default ``sys.argv[1:]``); a named subcommand is parsed by its parser alone.
 
     Any other first argument gets the full parser, so its help and errors list every subcommand.
+    A process builds each parser once, so repeated in-process calls reuse it; a console run
+    still builds one. CSV rows are built only for ``--format csv``.
     """
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS)
+    # the full parser as build_parser() so that callers share one cache entry
+    parser = build_parser(tuple(argv[:1])) if argv and argv[0] in COMMANDS else build_parser()
     try:
         args = parser.parse_args(argv)
         command = COMMANDS[args.subcommand]

@@ -11,9 +11,10 @@ The sampler draws only the faulty sites (the gaps between faults are
 geometric), so its cost, memory included, scales with trials x sites x eps and
 no trial x site grid is built. A fault-free trial is accepted and not
 erroneous. Each worker takes a strided share of the blocks and packs their
-faults into fault lists of up to MAX_CHUNK_FAULTS faults, one verdict each, so
-small blocks at small eps share the verdict's fixed cost. Exact mode XORs each
-check's single-slot faults' packed row masks into its parities.
+faults into fault lists of up to MAX_CHUNK_FAULTS faults (fewer when the share
+expects fewer), one verdict each, so small blocks at small eps share the
+verdict's fixed cost. Exact mode XORs each check's single-slot faults' packed
+row masks into its parities.
 ``min_undetected_weight`` needs no verdict: its lightest accepted pattern has
 a closed form over the outer matrix alone.
 """
@@ -150,6 +151,11 @@ class _Kernel:
         raise ValueError(f"unknown mode {mode!r}")
 
 
+def _chunk_faults(expected: float) -> int:
+    """Room for ``expected`` faults plus six standard deviations, at most MAX_CHUNK_FAULTS."""
+    return int(min(MAX_CHUNK_FAULTS, expected + 6.0 * math.sqrt(expected) + 16))
+
+
 def _fault_positions(
     rng: np.random.Generator, eps: float, trials: int, sites: int
 ) -> Iterator[np.ndarray]:
@@ -165,8 +171,7 @@ def _fault_positions(
     if eps == 0.0:
         return
     cells = trials * sites
-    expected = eps * cells
-    size = int(min(MAX_CHUNK_FAULTS, expected + 6.0 * math.sqrt(expected) + 16))
+    size = _chunk_faults(eps * cells)
     held = np.empty(0, dtype=np.int64)
     last = -1
     while True:
@@ -245,24 +250,24 @@ def _tally(
 
 
 def _fault_lists(
-    chunks: Iterator[np.ndarray], sites: int
+    chunks: Iterator[np.ndarray], sites: int, limit: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
     """Packs chunks of sorted fault positions into (trial, site, rows) fault lists.
 
-    The chunks go into one buffer, each chunk's touched trials renumbered
-    after those already there (a chunk never splits a trial). The buffer is
-    yielded before a chunk that would take it past MAX_CHUNK_FAULTS faults,
-    and at the end. A chunk of :func:`_fault_positions` holds at most
-    MAX_CHUNK_FAULTS faults plus one held-back trial, so the buffer takes any
-    chunk, and one that is longer than MAX_CHUNK_FAULTS is yielded alone. The
-    next step overwrites a yielded list, so decide it before asking for the
-    next.
+    The chunks go into one buffer of ``limit + sites`` faults, each chunk's
+    touched trials renumbered after those already there (a chunk never splits
+    a trial). The buffer is yielded before a chunk that would take it past
+    ``limit`` faults, and at the end. A chunk of :func:`_fault_positions`
+    holds at most its draw's :func:`_chunk_faults` plus one held-back trial,
+    so with ``limit`` no smaller than that the buffer takes any chunk, and one
+    that is longer than ``limit`` is yielded alone. The next step overwrites
+    a yielded list, so decide it before asking for the next.
     """
-    buffer = np.empty((2, MAX_CHUNK_FAULTS + sites), dtype=np.int64)
+    buffer = np.empty((2, limit + sites), dtype=np.int64)
     filled = rows = 0
     for positions in chunks:
         n = len(positions)
-        if filled + n > MAX_CHUNK_FAULTS and filled:
+        if filled + n > limit and filled:
             yield buffer[0, :filled], buffer[1, :filled], rows
             filled = rows = 0
         trial, site = buffer[:, filled : filled + n]
@@ -285,7 +290,8 @@ def _simulate_share(
 
     ``blocks`` lists (index, size) pairs. Block i draws from its own Philox
     stream keyed by (seed, i), so the counts do not depend on the worker. One
-    :func:`_tally` decides each fault list that :func:`_fault_lists` packs; a
+    :func:`_tally` decides each fault list that :func:`_fault_lists` packs
+    into a buffer sized by :func:`_chunk_faults` for the whole share; a
     fault-free trial is accepted and not erroneous in both modes and under
     both conventions.
     """
@@ -298,7 +304,8 @@ def _simulate_share(
             yield from _fault_positions(rng, eps, size, sites)
 
     accepted, erroneous, flips = sum(size for _, size in blocks), 0, 0
-    for trial, site, rows in _fault_lists(chunks(), sites):
+    limit = _chunk_faults(eps * sites * accepted)  # no smaller than any block's chunk size
+    for trial, site, rows in _fault_lists(chunks(), sites, limit):
         acc, err, flip = _tally(kernel, trial, site, rows, corruption)
         accepted += acc - rows
         erroneous += err

@@ -1,9 +1,13 @@
 import argparse
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import msdistill
 from msdistill import __version__
 from msdistill.cli import (
     COMMANDS, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, UsageError, _resolve, build_parser, main,
@@ -665,6 +669,7 @@ class TestSubcommandParser:
         assert captured.out == ""
 
     def test_builds_one_subparser(self, capsys, monkeypatch):
+        build_parser.cache_clear()  # an earlier test may have built it already
         built = []
         add_parser = argparse._SubParsersAction.add_parser
 
@@ -675,6 +680,8 @@ class TestSubcommandParser:
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
         assert main(["analyze", "--inner", "149,117,5"]) == EXIT_OK
         assert built == ["analyze"]
+        assert main(["analyze", "--inner", "149,117,5"]) == EXIT_OK
+        assert built == ["analyze"]  # the second call reuses the parser
 
     def test_console_script_reads_sys_argv(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["msdistill", "analyze", "--inner", "149,117,5"])
@@ -688,6 +695,46 @@ class TestSubcommandParser:
             main()
         assert exit_info.value.code == 0
         assert capsys.readouterr().out == f"{__version__}\n"
+
+
+class TestSharedParser:
+    """One parser serves every call of a process; no call sees what an earlier one parsed."""
+
+    ANALYZE = ["analyze", "--inner", "149,117,5"]
+
+    def test_flag_does_not_carry_over(self, capsys):
+        _, first = run_json(capsys, self.ANALYZE + ["--scale", "5"])
+        assert first["config"]["scale"] == 5
+        _, second = run_json(capsys, self.ANALYZE)
+        assert second["config"]["scale"] is None
+        assert second["results"] != first["results"]
+
+    def test_csv_format_does_not_carry_over(self, capsys):
+        assert main(self.ANALYZE + ["--format", "csv"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("# version=")
+        code, doc = run_json(capsys, self.ANALYZE)
+        assert code == EXIT_OK and doc["subcommand"] == "analyze"
+
+    def test_usage_error_leaves_the_next_call_as_in_a_fresh_process(self, capsys):
+        assert main(["analyze", "--inner", "1,2", "--scale", "5"]) == EXIT_USAGE
+        capsys.readouterr()
+        assert main(self.ANALYZE) == EXIT_OK
+        out = capsys.readouterr().out
+        package = Path(msdistill.__file__).resolve().parents[1]
+        fresh = subprocess.run(
+            [sys.executable, "-m", "msdistill.cli", *self.ANALYZE], capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": str(package)}, check=True,
+        )
+        assert out == fresh.stdout
+
+    def test_help_wraps_to_the_width_at_print_time(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
+        wide = printed(capsys, main, ["analyze", "--help"])
+        monkeypatch.setenv("COLUMNS", "40")
+        narrow = printed(capsys, main, ["analyze", "--help"])
+        assert narrow != wide
+        assert narrow == printed(capsys, build_parser.__wrapped__(("analyze",)).parse_args,
+                                 ["analyze", "--help"])
 
 
 # One cheap run of every subcommand: its argv after the name, and its exit code.

@@ -358,7 +358,8 @@ class TestFaultPositions:
                   for c in _fault_positions(philox(key), 0.3, size, sites)]
         assert max(map(len, chunks)) > MAX_CHUNK_FAULTS  # a held-back trial pushed one past
         # copies: each yielded list is overwritten by the next
-        lists = [(t.copy(), s.copy(), rows) for t, s, rows in _fault_lists(iter(chunks), sites)]
+        lists = [(t.copy(), s.copy(), rows)
+                 for t, s, rows in _fault_lists(iter(chunks), sites, MAX_CHUNK_FAULTS)]
         oversized = {len(c) for c in chunks if len(c) > MAX_CHUNK_FAULTS}
         assert all(len(t) <= MAX_CHUNK_FAULTS or len(t) in oversized for t, _, _ in lists)
         assert len(lists) < len(chunks)
@@ -370,6 +371,18 @@ class TestFaultPositions:
         # each chunk's trials are new rows, and a chunk's trial boundaries are kept
         boundaries = sum(len(np.unique(c // sites)) for c in chunks)
         assert sum(rows for _, _, rows in lists) == boundaries
+
+    def test_fault_lists_flush_at_the_limit(self):
+        # the chunks of 40 small draws, packed under a limit that expects four draws' faults
+        sites, eps, size = 60, 0.05, 50
+        limit = fault_sim._chunk_faults(eps * sites * size * 4)
+        chunks = [c for key in range(40) for c in _fault_positions(philox(key), eps, size, sites)]
+        lists = [(t.copy(), s.copy(), rows)
+                 for t, s, rows in _fault_lists(iter(chunks), sites, limit)]
+        assert all(len(t) <= limit for t, _, _ in lists)
+        assert 1 < len(lists) < len(chunks)
+        site = np.concatenate([s for _, s, _ in lists])
+        assert np.array_equal(site, np.concatenate(chunks) % sites)
 
 
 class TestMonteCarlo:
@@ -467,6 +480,26 @@ class TestMonteCarlo:
         assert len(calls) <= math.ceil(sum(faults) / MAX_CHUNK_FAULTS) + 1
         assert sum(calls) <= report.trials
         assert report == monte_carlo(inst, 0.3, 3000, 5, block_size=1, workers=2)
+
+    def test_fault_list_buffer_fits_the_share(self, monkeypatch):
+        # a share expecting few faults gets a buffer sized to them, not to MAX_CHUNK_FAULTS
+        buffers = []
+
+        def recorded(kernel, trial, site, rows, corruption):
+            buffers.append(trial.base.shape)
+            return real(kernel, trial, site, rows, corruption)
+
+        real = fault_sim._tally
+        monkeypatch.setattr(fault_sim, "_tally", recorded)
+        inst = steane_identity_instance()
+        eps, trials = 1e-3, 1 << 12
+        report = monte_carlo(inst, eps, trials, 5, block_size=1 << 10, workers=1)
+        monkeypatch.undo()
+        sites = inst.fault_sites
+        limit = fault_sim._chunk_faults(eps * sites * trials)
+        assert limit < MAX_CHUNK_FAULTS
+        assert buffers == [(2, limit + sites)]
+        assert report == monte_carlo(inst, eps, trials, 5, block_size=1 << 10, workers=2)
 
     def test_matches_truncated_enumeration(self):
         inst = steane_identity_instance()
