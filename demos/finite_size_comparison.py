@@ -6,16 +6,14 @@ three series. The check-schedule points use the two finite-size design points
 """
 from msdistill.comparison import figure2_dataset
 from msdistill.inner_codes import CssCodeParams
-from msdistill.pipeline import HadamardStep, PreDistillation, ProtocolSpec
+from msdistill.pipeline import ProtocolSpec
 
 
 def main() -> None:
-    specs = []
-    for rounds, (n, k, d) in [(3, (149, 117, 5)), (4, (8104, 8002, 9))]:
-        params = CssCodeParams(n, k, d)
-        specs.append(
-            ProtocolSpec((PreDistillation(rounds), HadamardStep(params, k**d)))
-        )
+    specs = [
+        ProtocolSpec(rounds, CssCodeParams(n, k, d), k**d)
+        for rounds, (n, k, d) in [(3, (149, 117, 5)), (4, (8104, 8002, 9))]
+    ]
 
     rows, metadata = figure2_dataset(pre_rounds_max=6, pipeline_specs=specs)
 

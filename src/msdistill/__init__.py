@@ -7,7 +7,7 @@ Submodules:
 - :mod:`msdistill.inner_codes` — weakly self-dual CSS codes and GV families
 - :mod:`msdistill.outer_codes` — biregular check schedules, girth, sensitivity
 - :mod:`msdistill.analytics` — closed-form rate / error / cost formulas
-- :mod:`msdistill.pipeline` — multi-stage protocol composition and search
+- :mod:`msdistill.pipeline` — protocol evaluation and search
 - :mod:`msdistill.comparison` — constant-overhead baseline and the comparison dataset
 - :mod:`msdistill.fault_sim` — Monte Carlo fault injection and weight enumeration
 - :mod:`msdistill.cli` — the ``msdistill`` command-line front end
@@ -40,9 +40,7 @@ from .inner_codes import (
 from .logdomain import LogScalar
 from .outer_codes import OuterCode, build_biregular, check_sensitivity, girth
 from .pipeline import (
-    HadamardStep,
     PipelineReport,
-    PreDistillation,
     ProtocolSpec,
     evaluate,
     search_best,
@@ -52,11 +50,9 @@ __all__ = [
     "__version__",
     "BinMatrix",
     "CssCodeParams",
-    "HadamardStep",
     "LogScalar",
     "OuterCode",
     "PipelineReport",
-    "PreDistillation",
     "ProtocolInstance",
     "ProtocolSpec",
     "SimReport",

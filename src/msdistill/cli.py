@@ -27,8 +27,8 @@ from .inner_codes import (
 from .logdomain import LogScalar
 from .outer_codes import ConstructionError, OuterCode, build_biregular, check_sensitivity
 from .pipeline import (
-    DEFAULT_INPUT_ERROR, HadamardStep, PipelineReport, PreDistillation, ProtocolSpec, SearchError,
-    StageError, default_scale_rule, evaluate, search_best,
+    DEFAULT_INPUT_ERROR, PipelineReport, ProtocolSpec, SearchError, StageError, default_scale_rule,
+    evaluate, search_best,
 )
 
 EXIT_OK = 0
@@ -237,8 +237,7 @@ def _pipeline_spec(config: dict[str, Any]) -> ProtocolSpec:
     n, k, d = _nkd(config["inner"])
     params = CssCodeParams(n, k, d)
     scale = default_scale_rule(params) if config["scale"] is None else config["scale"]
-    stages = (PreDistillation(config["pre_rounds"]), HadamardStep(params, scale))
-    return ProtocolSpec(stages, config["eps0"])
+    return ProtocolSpec(config["pre_rounds"], params, scale, config["eps0"])
 
 
 def _analyze_spec(values: dict[str, Any]) -> ProtocolSpec:
@@ -389,9 +388,8 @@ def cmd_search(config: dict[str, Any]) -> Output:
         success_eps=config["success_eps"],
     )
     report = evaluate(spec, success_eps=config["success_eps"])
-    inner = next(s.params for s in spec.stages if isinstance(s, HadamardStep))
     results = {
-        "inner": [inner.n_q, inner.k_q, inner.d_q],
+        "inner": [spec.inner.n_q, spec.inner.k_q, spec.inner.d_q],
         "candidates_considered": len(candidates),
         "report": _report_record(report),
     }

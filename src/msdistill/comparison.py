@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Sequence
 
-from .analytics import FIFTEEN_TO_ONE_INPUTS, _predistill_rounds, predistill_chain
+from .analytics import FIFTEEN_TO_ONE_INPUTS, _predistill_rounds
 from .inner_codes import binary_entropy
 from .logdomain import LogScalar
 from .pipeline import DEFAULT_INPUT_ERROR, ProtocolSpec, evaluate
@@ -69,8 +69,9 @@ def qag_catalyst_rounds(eps_in: float, threshold: float) -> CatalystSchedule:
     """Fewest 15->1 rounds bringing eps_in below the threshold, plus the margin ratio."""
     if not 0 < eps_in < 1:
         raise ValueError("eps_in must be in (0,1)")
-    for rounds in range(MAX_CATALYST_ROUNDS + 1):
-        eps = predistill_chain(rounds, eps_in).eps_out.to_float()
+    # one chain passes through every count; zip stops before a round past the cap
+    for rounds, report in zip(range(MAX_CATALYST_ROUNDS + 1), _predistill_rounds(eps_in)):
+        eps = report.eps_out.to_float()
         if eps <= threshold:
             return CatalystSchedule(rounds, eps, eps / threshold)
     raise RuntimeError(f"threshold not reached within {MAX_CATALYST_ROUNDS} rounds")

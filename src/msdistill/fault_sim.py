@@ -79,7 +79,9 @@ def _wilson_interval(successes: int, total: int) -> tuple[float | None, float, f
     denom = 1.0 + z * z / total
     center = (p + z * z / (2 * total)) / denom
     half = (z / denom) * math.sqrt(p * (1 - p) / total + z * z / (4 * total * total))
-    return (p, max(0.0, center - half), min(1.0, center + half))
+    lo, hi = max(0.0, center - half), min(1.0, center + half)
+    # at p = 0 or 1 the float endpoint can round past p; the interval must contain its point
+    return (p, min(lo, p), max(hi, p))
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ from .gf2 import BinMatrix, is_self_orthogonal, low_weight_syndromes, rank2, row
 class CssCodeParams:
     """[[n, k, d]] parameters of the inner quantum code.
 
-    Any d >= 1 is accepted: ``pipeline.HadamardStep`` and
-    ``outer_codes.outer_size_for`` refuse an even d where a stage needs an odd one.
+    Any d >= 1 is accepted: ``pipeline.ProtocolSpec`` and
+    ``outer_codes.outer_size_for`` refuse an even d where a check round needs an odd one.
     """
 
     n_q: int

@@ -1,7 +1,7 @@
-"""Composition and evaluation of multi-stage distillation protocols."""
+"""Protocol evaluation: p rounds of 15->1, then one check-schedule round; and its search."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .analytics import (
@@ -20,57 +20,38 @@ DEFAULT_INPUT_ERROR = 0.1
 
 
 @dataclass(frozen=True)
-class PreDistillation:
-    """p rounds of 15->1 distillation."""
-
-    rounds: int
-
-    def __post_init__(self) -> None:
-        if self.rounds < 0:
-            raise ValueError("rounds must be >= 0")
-
-
-@dataclass(frozen=True)
-class HadamardStep:
-    """One check-schedule round on an inner code with outer scale factor A."""
-
-    params: CssCodeParams
-    scale: int
-
-    def __post_init__(self) -> None:
-        if self.params.d_q % 2 == 0 or self.params.d_q < 3:
-            raise ValueError("check-schedule stage needs odd distance >= 3")
-
-
-Stage = PreDistillation | HadamardStep
-
-
-@dataclass(frozen=True)
 class ProtocolSpec:
-    """An ordered list of stages applied to states of initial error eps0."""
+    """p rounds of 15->1 from raw error eps0, then one check round on ``inner`` at outer scale A."""
 
-    stages: tuple[Stage, ...]
+    pre_rounds: int
+    inner: CssCodeParams
+    scale: int
     eps0: float = DEFAULT_INPUT_ERROR
+
+    def __post_init__(self) -> None:
+        if self.pre_rounds < 0:
+            raise ValueError("rounds must be >= 0")
+        if self.inner.d_q % 2 == 0 or self.inner.d_q < 3:
+            raise ValueError("check-schedule stage needs odd distance >= 3")
 
     @property
     def label(self) -> tuple[int, int]:
-        """(total pre-distillation rounds, number of check-schedule rounds)."""
-        p = sum(s.rounds for s in self.stages if isinstance(s, PreDistillation))
-        r = sum(1 for s in self.stages if isinstance(s, HadamardStep))
-        return (p, r)
+        """(pre-distillation rounds, check-schedule rounds)."""
+        return (self.pre_rounds, 1)
 
 
 @dataclass(frozen=True)
 class PipelineReport:
+    """Totals of a protocol, and the reports of its 15->1 chain and its check round."""
+
     label: tuple[int, int]
-    eps_trajectory: tuple[LogScalar, ...]
     total_inputs_per_output: LogScalar
     success_prob: LogScalar
-    stage_details: tuple[StageReport, ...] = field(repr=False, default=())
+    stage_details: tuple[StageReport, StageReport]
 
     @property
     def eps_out(self) -> LogScalar:
-        return self.eps_trajectory[-1]
+        return self.stage_details[-1].eps_out
 
     @property
     def effective_rate(self) -> LogScalar:
@@ -83,9 +64,10 @@ class PipelineReport:
 
 
 class StageError(ValueError):
+    """The 15->1 chain (stage 0) or the check round (stage 1) got an input error of 1 or more."""
+
     def __init__(self, index: int, message: str):
         super().__init__(f"stage {index}: {message}")
-        self.index = index
 
 
 class SearchError(ValueError):
@@ -93,63 +75,50 @@ class SearchError(ValueError):
 
 
 def evaluate(spec: ProtocolSpec, *, success_eps: str = "required") -> PipelineReport:
-    """Thread the error rate through the stages and aggregate cost and success.
+    """Protocol evaluation: the 15->1 chain's report, the check round's, and their totals.
 
-    Each stage is recorded as the :class:`StageReport` of its formula. An eps0
-    outside [0, 1) is a plain ValueError; a stage whose input error has
-    reached 1 (the chain started above threshold) is a StageError.
+    An eps0 outside [0, 1) is a plain ValueError. A chain that started above
+    threshold is a StageError: stage 0 when a 15->1 round gets an input
+    error of 1 or more, stage 1 when the chain delivers one to the check
+    round.
 
-    ``success_eps`` selects which intermediate error enters a check-schedule
-    stage's success probability and output bound: "required" (the design
-    target (1/(A n d))^d, which reproduces the published finite-size rates)
-    or "achieved" (the error actually delivered by the preceding stages;
-    physically faithful, but it collapses the post-selection success
-    probability at paper-scale parameters).
+    ``success_eps`` selects which intermediate error enters the check round's
+    success probability and output bound: "required" (the design target
+    (1/(A n d))^d, which reproduces the published finite-size rates) or
+    "achieved" (the error the 15->1 chain actually delivers; physically
+    faithful, but it collapses the post-selection success probability at
+    paper-scale parameters).
     """
-    if not spec.stages:
-        raise ValueError("protocol must have at least one stage")
     if success_eps not in ("required", "achieved"):
         raise ValueError(f"unknown success_eps convention {success_eps!r}")
     # a negative eps0 is refused here, before coerce refuses it with a vaguer message
     if spec.eps0 < 0 or not (eps := LogScalar.coerce(spec.eps0)) < ONE:
         raise ValueError("eps0 must satisfy 0 <= eps0 < 1")
 
-    trajectory = [eps]
-    total_inputs = ONE
-    total_success = ONE
-    reports: list[StageReport] = []
+    try:
+        pre = predistill_chain(spec.pre_rounds, eps)
+    except ThresholdError as exc:
+        raise StageError(0, str(exc)) from exc
+    if not pre.eps_out < ONE:
+        raise StageError(1, "input error must be below 1")
 
-    for index, stage in enumerate(spec.stages):
-        if not eps < ONE:
-            raise StageError(index, "input error must be below 1")
-        if isinstance(stage, PreDistillation):
-            try:
-                report = predistill_chain(stage.rounds, eps)
-            except ThresholdError as exc:
-                raise StageError(index, str(exc)) from exc
-        elif isinstance(stage, HadamardStep):
-            a_n, m = outer_size_for(stage.params, stage.scale)
-            n_prime = hadamard_step_counts(stage.params, a_n, m)
-            required = required_intermediate_error(stage.params, stage.scale)
-            eps_used = required if success_eps == "required" else eps
-            report = StageReport(
-                "hadamard_step",
-                LogScalar.coerce(n_prime) / LogScalar.coerce(a_n),
-                output_error_bound(n_prime, stage.params.d_q, eps_used),
-                pow_one_minus(eps_used, n_prime),
-                required,
-            )
-        else:  # pragma: no cover - dataclass union is closed
-            raise StageError(index, f"unknown stage type {type(stage).__name__}")
-
-        eps = report.eps_out
-        reports.append(report)
-        trajectory.append(eps)
-        total_inputs = total_inputs * report.inputs_per_output
-        total_success = total_success * report.success_prob
-
+    a_n, m = outer_size_for(spec.inner, spec.scale)
+    n_prime = hadamard_step_counts(spec.inner, a_n, m)
+    required = required_intermediate_error(spec.inner, spec.scale)
+    eps_used = required if success_eps == "required" else pre.eps_out
+    check = StageReport(
+        "hadamard_step",
+        LogScalar.coerce(n_prime) / LogScalar.coerce(a_n),
+        output_error_bound(n_prime, spec.inner.d_q, eps_used),
+        pow_one_minus(eps_used, n_prime),
+        required,
+    )
+    # the log10 sums run as (0 + a) + b, the order in which every pinned digit was computed
     return PipelineReport(
-        spec.label, tuple(trajectory), total_inputs, total_success, tuple(reports)
+        spec.label,
+        ONE * pre.inputs_per_output * check.inputs_per_output,
+        ONE * pre.success_prob * check.success_prob,
+        (pre, check),
     )
 
 
@@ -185,11 +154,7 @@ def search_best(
     crossed: StageError | None = None
     for params in inner_candidates:
         for p in pre_rounds:
-            stages: tuple[Stage, ...] = (
-                PreDistillation(p),
-                HadamardStep(params, default_scale_rule(params)),
-            )
-            spec = ProtocolSpec(stages, eps0)
+            spec = ProtocolSpec(p, params, default_scale_rule(params), eps0)
             try:
                 report = evaluate(spec, success_eps=success_eps)
             except StageError as exc:

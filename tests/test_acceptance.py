@@ -28,7 +28,7 @@ from msdistill.inner_codes import (
     gv_params,
 )
 from msdistill.outer_codes import OuterCode, check_sensitivity
-from msdistill.pipeline import HadamardStep, PreDistillation, ProtocolSpec, evaluate
+from msdistill.pipeline import ProtocolSpec, evaluate
 
 
 def test_acceptance_01_predistillation_chain():
@@ -72,7 +72,7 @@ def test_acceptance_04_finite_size_rates():
         ("(3;1)", (149, 117, 5), 3, 6.6e-6, 1.3),
     ]:
         params = CssCodeParams(n, k, d)
-        spec = ProtocolSpec((PreDistillation(p), HadamardStep(params, k**d)))
+        spec = ProtocolSpec(p, params, k**d)
         report = evaluate(spec)
         rate = 10.0**report.effective_rate.log10
         ratio = max(rate / published, published / rate)

@@ -13,7 +13,7 @@ from msdistill.cli import (
     COMMANDS, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, UsageError, _resolve, build_parser, main,
 )
 from msdistill.inner_codes import CssCodeParams
-from msdistill.pipeline import HadamardStep, PreDistillation, ProtocolSpec, evaluate
+from msdistill.pipeline import ProtocolSpec, evaluate
 
 
 def reject_constant(token):
@@ -177,7 +177,7 @@ class TestAnalyze:
         )
         assert code == EXIT_OK
         params = CssCodeParams(149, 117, 5)
-        spec = ProtocolSpec((PreDistillation(3), HadamardStep(params, 117**5)))
+        spec = ProtocolSpec(3, params, 117**5)
         report = evaluate(spec)
         assert doc["results"]["log10_rate"] == round(report.effective_rate.log10, 6)
         assert doc["results"]["label"] == "(3;1)"

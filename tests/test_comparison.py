@@ -14,7 +14,7 @@ from msdistill.comparison import (
     qag_rate,
     qag_threshold,
 )
-from msdistill.pipeline import HadamardStep, PreDistillation, ProtocolSpec, evaluate
+from msdistill.pipeline import ProtocolSpec, evaluate
 from msdistill.inner_codes import CssCodeParams
 
 
@@ -122,9 +122,7 @@ class TestRate:
 class TestFigure2Dataset:
     def _specs(self):
         code = CssCodeParams(149, 117, 5)
-        return [
-            ProtocolSpec((PreDistillation(3), HadamardStep(code, 117**5)))
-        ]
+        return [ProtocolSpec(3, code, 117**5)]
 
     def test_purple_first_round(self):
         rows, _ = figure2_dataset(pre_rounds_max=2)

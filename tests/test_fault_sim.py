@@ -26,6 +26,7 @@ from msdistill.fault_sim import (
     _Kernel,
     _simulate_share,
     _verdicts,
+    _wilson_interval,
     make_single_check_instance,
     min_undetected_weight,
     monte_carlo,
@@ -383,6 +384,14 @@ class TestFaultPositions:
         assert 1 < len(lists) < len(chunks)
         site = np.concatenate([s for _, s, _ in lists])
         assert np.array_equal(site, np.concatenate(chunks) % sites)
+
+
+@given(case=st.integers(1, 10**6).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))))
+@example(case=(10, 10))  # the float high end was 0.9999999999999999
+@example(case=(0, 7))  # the float low end was above 0
+def test_wilson_interval_contains_its_point(case):
+    p, lo, hi = _wilson_interval(*case)
+    assert 0.0 <= lo <= p <= hi <= 1.0
 
 
 class TestMonteCarlo:

@@ -9,6 +9,10 @@ document, and the CSV document where the subcommand has a CSV form, is stored
 under tests/golden/. A change that must print the same numbers keeps these
 files as they are.
 
+HELP_CALLS are the top-level ``--help`` and each subcommand's ``--help``,
+printed at a fixed 80-column terminal and stored as ``<argv>.txt``, so that a
+change to an option's wording or order shows up as a diff.
+
 The three ``--success-eps achieved`` calls record the known unsound bounds of
 ROADMAP item 3: their check-schedule stage's union bound exceeds 1 and prints
 as ``log10_eps_out`` 29.24 (149,117,5), 181.22 and 341.26 (8104,8002,9 after
@@ -20,7 +24,9 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -67,6 +73,9 @@ CASES = [
 ]
 
 
+HELP_CALLS = (["--help"], *([name, "--help"] for name in COMMANDS))
+
+
 def golden_path(argv: list[str], fmt: str) -> Path:
     """``analyze --inner 149,117,5`` -> golden/analyze_inner_149-117-5.json."""
     stem = "_".join(arg.removeprefix("--").replace(",", "-") for arg in argv)
@@ -81,6 +90,19 @@ def run(argv: list[str], fmt: str) -> str:
     return out.getvalue()
 
 
+def help_text(argv: list[str]) -> str:
+    """What ``msdistill <argv>`` prints before it exits 0, wrapped at 80 columns."""
+    out = io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), contextlib.redirect_stdout(out):
+        try:
+            main(argv)
+        except SystemExit as exc:
+            assert exc.code == 0
+        else:
+            raise AssertionError(f"{argv} did not exit")
+    return out.getvalue()
+
+
 @pytest.mark.parametrize(
     "argv, fmt", CASES, ids=[golden_path(argv, fmt).name for argv, fmt in CASES]
 )
@@ -88,7 +110,16 @@ def test_output_matches_golden(argv, fmt):
     assert run(argv, fmt) == golden_path(argv, fmt).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize(
+    "argv", HELP_CALLS, ids=[golden_path(argv, "txt").name for argv in HELP_CALLS]
+)
+def test_help_matches_golden(argv):
+    assert help_text(argv) == golden_path(argv, "txt").read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for argv, fmt in CASES:
         golden_path(argv, fmt).write_text(run(argv, fmt), encoding="utf-8", newline="\n")
+    for argv in HELP_CALLS:
+        golden_path(argv, "txt").write_text(help_text(argv), encoding="utf-8", newline="\n")

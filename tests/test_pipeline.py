@@ -5,8 +5,6 @@ import pytest
 from msdistill.inner_codes import CssCodeParams, distance_family
 from msdistill.logdomain import LogScalar
 from msdistill.pipeline import (
-    HadamardStep,
-    PreDistillation,
     ProtocolSpec,
     SearchError,
     StageError,
@@ -20,9 +18,7 @@ SMALL_CODE = CssCodeParams(149, 117, 5)
 
 
 def spec_for(code: CssCodeParams, pre_rounds: int) -> ProtocolSpec:
-    return ProtocolSpec(
-        (PreDistillation(pre_rounds), HadamardStep(code, code.k_q**code.d_q))
-    )
+    return ProtocolSpec(pre_rounds, code, code.k_q**code.d_q)
 
 
 class TestEvaluate:
@@ -35,30 +31,13 @@ class TestEvaluate:
         report = evaluate(spec_for(SMALL_CODE, 3))
         assert 10.0**report.effective_rate.log10 == pytest.approx(5.7e-6, rel=0.03)
 
-    def test_identity_stage(self):
-        report = evaluate(ProtocolSpec((PreDistillation(0),)))
-        assert report.eps_out.to_float() == pytest.approx(0.1)
-        assert report.total_inputs_per_output.to_float() == 1.0
-        assert report.success_prob.to_float() == 1.0
-
     def test_trajectory_structure(self):
         report = evaluate(spec_for(BIG_CODE, 4))
-        assert len(report.eps_trajectory) == 3  # eps0, after pre, after check round
-        assert report.eps_trajectory[1] < report.eps_trajectory[0]
-        assert report.eps_trajectory[2] < report.eps_trajectory[1]
-
-    def test_composability(self):
-        combined = evaluate(
-            ProtocolSpec((PreDistillation(2), PreDistillation(1)))
-        )
-        assert combined.total_inputs_per_output.log10 == pytest.approx(
-            3 * LogScalar.coerce(15).log10, abs=1e-12
-        )
-        direct = evaluate(ProtocolSpec((PreDistillation(3),)))
-        assert combined.eps_out.log10 == pytest.approx(direct.eps_out.log10, abs=1e-9)
-        assert combined.success_prob.log10 == pytest.approx(
-            direct.success_prob.log10, abs=1e-9
-        )
+        pre, check = report.stage_details
+        assert (pre.kind, check.kind) == ("pre_distillation", "hadamard_step")
+        assert pre.eps_out < LogScalar.coerce(0.1)
+        assert check.eps_out < pre.eps_out
+        assert report.eps_out == check.eps_out
 
     def test_rate_never_exceeds_input_ratio(self):
         for spec in (spec_for(BIG_CODE, 4), spec_for(SMALL_CODE, 3)):
@@ -72,16 +51,23 @@ class TestEvaluate:
         report = evaluate(spec_for(BIG_CODE, 4), success_eps="achieved")
         assert report.success_prob.is_zero() or report.success_prob.log10 < -1e9
 
-    def test_empty_spec(self):
-        with pytest.raises(ValueError):
-            evaluate(ProtocolSpec(()))
+    def test_eps0_of_one_is_refused(self):
+        # eps0 = 1 is refused before any stage runs, as a plain ValueError
+        with pytest.raises(ValueError, match="eps0 must satisfy") as exc_info:
+            evaluate(ProtocolSpec(0, BIG_CODE, 1, eps0=1.0))
+        assert not isinstance(exc_info.value, StageError)
 
-    def test_stage_error_carries_index(self):
-        bad = ProtocolSpec((PreDistillation(0), HadamardStep(BIG_CODE, 1)), eps0=0.1)
-        # eps0 = 1 is illegal input to a check round
-        spec = ProtocolSpec(bad.stages, eps0=1.0)
-        with pytest.raises((StageError, ValueError)):
+    @pytest.mark.parametrize("pre_rounds, message", [
+        # at eps0 = 0.2 the fourth 15->1 round gets an input error of about 15.8
+        (4, "stage 0: 15->1 round 4: input error must be below 1"),
+        # after three rounds the chain delivers that error to the check round
+        (3, "stage 1: input error must be below 1"),
+    ])
+    def test_stage_error_text(self, pre_rounds, message):
+        spec = ProtocolSpec(pre_rounds, BIG_CODE, BIG_CODE.k_q**BIG_CODE.d_q, eps0=0.2)
+        with pytest.raises(StageError) as exc_info:
             evaluate(spec)
+        assert str(exc_info.value) == message
 
     def test_unknown_convention(self):
         with pytest.raises(ValueError):
@@ -98,12 +84,16 @@ class TestEvaluate:
 
 class TestSpecValidation:
     def test_even_distance_rejected(self):
-        with pytest.raises(ValueError):
-            HadamardStep(CssCodeParams(8, 2, 4), 1)
+        with pytest.raises(ValueError, match="check-schedule stage needs odd distance >= 3"):
+            ProtocolSpec(0, CssCodeParams(8, 2, 4), 1)
 
     def test_negative_rounds_rejected(self):
-        with pytest.raises(ValueError):
-            PreDistillation(-1)
+        with pytest.raises(ValueError, match="rounds must be >= 0"):
+            ProtocolSpec(-1, BIG_CODE, 1)
+
+    def test_rounds_checked_before_distance(self):
+        with pytest.raises(ValueError, match="rounds must be >= 0"):
+            ProtocolSpec(-1, CssCodeParams(8, 2, 4), 1)
 
     def test_default_scale_rule(self):
         assert default_scale_rule(SMALL_CODE) == 117**5
@@ -115,7 +105,7 @@ class TestSearch:
     def test_reproduces_headline_code(self):
         candidates = distance_family(10**4)
         spec = search_best(self.FLOOR, candidates, range(7))
-        inner = next(s for s in spec.stages if isinstance(s, HadamardStep)).params
+        inner = spec.inner
         assert (inner.n_q, inner.k_q, inner.d_q) == (8104, 8002, 9)
         assert evaluate(spec).effective_rate > self.FLOOR
 
