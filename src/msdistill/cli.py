@@ -423,13 +423,13 @@ def cmd_compare(config: dict[str, Any]) -> Output:
 
 def _build_instance(config: dict[str, Any]) -> ProtocolInstance:
     inner = load_named_code(config["inner"])
-    kind = config["outer"]
+    kind, a_n = config["outer"], config["outer_size"]
+    if kind in ("identity", "single-check") and a_n < 1:
+        raise UsageError("--outer-size must be >= 1")
     if kind == "identity":
-        a_n = config["outer_size"]
-        outer = OuterCode(BinMatrix.identity(a_n), 1, 1)
-        return ProtocolInstance(inner, outer, strict=False)
+        return ProtocolInstance(inner, OuterCode(BinMatrix.identity(a_n), 1, 1), strict=False)
     if kind == "single-check":
-        return make_single_check_instance(inner, config["outer_size"])
+        return make_single_check_instance(inner, a_n)
     with open(kind, "r", encoding="utf-8") as fh:
         outer = OuterCode.from_text(fh.read())
     return ProtocolInstance(inner, outer, strict=False)

@@ -14,7 +14,9 @@ erroneous. Each worker takes a strided share of the blocks and packs their
 faults into fault lists of up to MAX_CHUNK_FAULTS faults (fewer when the share
 expects fewer), one verdict each, so small blocks at small eps share the
 verdict's fixed cost. Exact mode XORs each check's single-slot faults' packed
-row masks into its parities.
+row masks into its parities. The shares of a threaded call run on one thread
+pool per process, built by the first such call and kept for later ones; a
+forked child builds its own.
 ``min_undetected_weight`` needs no verdict: its lightest accepted pattern has
 a closed form over the outer matrix alone.
 """
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import combinations
@@ -36,6 +39,33 @@ from .outer_codes import OuterCode, check_sensitivity
 
 DEFAULT_BLOCK_SIZE = 1 << 16
 MAX_CHUNK_FAULTS = 1 << 16
+_POOL_THREADS = 64  # threads of the shared pool, and so shares of one call
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+_fork_hook = False
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's pool threads do not exist here, so start over."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+def _shared_pool() -> ThreadPoolExecutor:
+    """The process's one Monte Carlo pool, built on first use.
+
+    Its threads start on demand, up to _POOL_THREADS, and wait between calls. A
+    forked child drops the pool it inherits and builds its own.
+    """
+    global _pool, _fork_hook
+    with _pool_lock:
+        if not _fork_hook:
+            os.register_at_fork(after_in_child=_forget_pool)
+            _fork_hook = True
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_POOL_THREADS, thread_name_prefix="monte_carlo")
+        return _pool
 
 
 @dataclass(frozen=True)
@@ -212,26 +242,46 @@ def _verdicts(
     """
     m, a_n, n_q = kernel.num_checks, kernel.num_data, kernel.params.n_q
     data = site < a_n
-    checks = kernel.data_checks[site[data]]
+    checks = np.take(kernel.data_checks, site[data], axis=0)
     data_flips = (trial[data][:, None] * m + checks)[checks >= 0]
 
     # (trial, check, qubit) of each slot fault, sorted: the two slots of a qubit are adjacent
-    slot = trial[~data] * (m * n_q) + (site[~data] - a_n) // 2
-    double = np.flatnonzero(slot[1:] == slot[:-1])  # faults i and i + 1 form a double
-    single = np.delete(slot, np.concatenate((double, double + 1)))
-    keys, counts = np.unique(np.concatenate((data_flips, slot[double] // n_q)), return_counts=True)
+    slot = trial[~data] * (m * n_q) + ((site[~data] - a_n) >> 1)
+    pair = slot[1:] == slot[:-1]  # faults i and i + 1 form a double
+    in_double = np.zeros(len(slot), dtype=bool)
+    in_double[:-1] = pair
+    in_double[1:] |= pair
+    single = slot[~in_double]
+    keys, counts = np.unique(
+        np.concatenate((data_flips, slot[:-1][pair] // n_q)), return_counts=True
+    )
     flipped = keys[counts % 2 == 1]
 
     home = single // n_q  # each single's key trial * m + check, sorted
-    start = np.flatnonzero(np.diff(home, prepend=-1))  # where each check's run of singles begins
+    first = np.ones(len(home), dtype=bool)  # where each check's run of singles begins
+    np.not_equal(home[1:], home[:-1], out=first[1:])
+    start = np.flatnonzero(first)
     keys = home[start]
     if kernel.qubit_rows is None:
         weight = np.diff(start, append=len(home))
         return keys[weight < kernel.params.d_q], flipped, keys[weight >= kernel.params.d_q]
     # each check's residual parities: the XOR over its run of singles of their [H; K] masks
-    parity = np.bitwise_xor.reduceat(kernel.qubit_rows[single % n_q], start)
-    rejected = parity[:, : kernel.syndrome_words].any(axis=1)
-    return keys[rejected], flipped, keys[~rejected & parity.any(axis=1)]
+    parity = np.bitwise_xor.reduceat(np.take(kernel.qubit_rows, single % n_q, axis=0), start)
+    s = kernel.syndrome_words
+    rejected = _nonzero_rows(parity[:, :s])
+    return keys[rejected], flipped, keys[~rejected & _nonzero_rows(parity[:, s:])]
+
+
+def _nonzero_rows(words: np.ndarray) -> np.ndarray:
+    """Which rows of a 2-D uint64 array hold a set bit: an OR over its few columns.
+
+    ``words.any(axis=1)`` takes a slow path on short rows: about nine times
+    slower on 34k rows of two words.
+    """
+    acc = np.zeros(len(words), dtype=np.uint64)
+    for column in words.T:
+        acc |= column
+    return acc != 0
 
 
 def _tally(
@@ -273,7 +323,8 @@ def _fault_lists(
             yield buffer[0, :filled], buffer[1, :filled], rows
             filled = rows = 0
         trial, site = buffer[:, filled : filled + n]
-        np.divmod(positions, sites, out=(trial, site))
+        np.floor_divide(positions, sites, out=trial)
+        np.subtract(positions, np.multiply(trial, sites, out=site), out=site)
         # renumber the touched trials rows, rows + 1, ... in order: the positions are sorted
         changed = trial[1:] != trial[:-1]
         trial[0] = rows
@@ -331,13 +382,18 @@ def monte_carlo(
     Only the faulty sites are drawn (geometric gaps between faults), so the
     cost scales with trials x fault sites x eps, and only the trials holding a
     fault are decided. The RNG is counter-based and keyed by (seed, block
-    index) with a fixed block size. Worker w of W takes blocks w, w + W, ...
-    in one job and decides their faults in batches of up to MAX_CHUNK_FAULTS
-    (:func:`_simulate_share`); the counts are sums over trials, so results
-    are bit-identical for any worker count. ``workers=None`` runs one worker
-    per core, and never more workers than blocks. This sparse draw replaced a
-    dense one, so a given seed yields different, equally distributed counts
-    than earlier versions did.
+    index) with a fixed block size. ``workers`` sets the number of shares W:
+    share w takes blocks w, w + W, ... in one job and decides their faults in
+    batches of up to MAX_CHUNK_FAULTS (:func:`_simulate_share`); the counts
+    are sums over trials, so results are bit-identical for any worker count.
+    ``workers=None`` means one share per core; W never exceeds the block
+    count or _POOL_THREADS. A single share runs on the calling thread; two or
+    more run on the process's shared pool (:func:`_shared_pool`), each on its
+    own thread: the pool starts threads only when it has fewer idle than the
+    call has shares, and keeps them for later calls. A forked child drops the
+    pool it inherited, whose threads did not survive the fork, and builds a
+    new one. This sparse draw replaced a dense one, so a given seed yields
+    different, equally distributed counts than earlier versions did.
     """
     if not 0 <= eps < 0.5:
         raise ValueError("eps must be in [0, 0.5)")
@@ -355,7 +411,7 @@ def monte_carlo(
     blocks = [(i, min(block_size, trials - i * block_size)) for i in range(n_blocks)]
     if workers is None:
         workers = os.cpu_count() or 1
-    workers = min(workers, n_blocks)
+    workers = min(workers, n_blocks, _POOL_THREADS)
 
     def share(first: int) -> tuple[int, int, int]:
         return _simulate_share(kernel, eps, seed, blocks[first::workers], corruption)
@@ -363,8 +419,7 @@ def monte_carlo(
     if workers == 1:
         results = [share(0)]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(share, range(workers)))
+        results = list(_shared_pool().map(share, range(workers)))
 
     accepted, erroneous, flips = map(sum, zip(*results))
     return SimReport(trials, accepted, erroneous, flips, eps, seed, mode, corruption)

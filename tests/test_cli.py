@@ -406,6 +406,15 @@ class TestSimulate:
         assert main(argv) == EXIT_INFEASIBLE
         assert capsys.readouterr().err == "infeasible: workers must be >= 1\n"
 
+    @pytest.mark.parametrize("outer", ["identity", "single-check"])
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_outer_size_below_one_is_usage_error(self, capsys, outer, size):
+        argv = ["simulate", "--outer", outer, "--outer-size", size, "--trials", "10"]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: --outer-size must be >= 1\n"
+
     def test_slope_fit_without_events_hints_at_trials(self, capsys):
         argv = ["simulate", "--eps", "1e-6,2e-6", "--trials", "10"]
         assert main(argv) == EXIT_INFEASIBLE

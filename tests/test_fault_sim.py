@@ -1,7 +1,11 @@
 import math
+import multiprocessing
+import sys
+import threading
 import time
 import tracemalloc
 from collections import namedtuple
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 import numpy as np
@@ -24,6 +28,7 @@ from msdistill.fault_sim import (
     _fault_lists,
     _fault_positions,
     _Kernel,
+    _nonzero_rows,
     _simulate_share,
     _verdicts,
     _wilson_interval,
@@ -222,10 +227,52 @@ def padding_extremes() -> tuple[ProtocolInstance, list[tuple[int, int]]]:
     return inst, sorted(faults)
 
 
+def slot_site(inst: ProtocolInstance, check: int, qubit: int, t: int = 0) -> int:
+    return inst.num_data + 2 * (check * inst.inner.params.n_q + qubit) + t
+
+
+def one_slot_fault() -> tuple[ProtocolInstance, list[tuple[int, int]]]:
+    inst = steane_identity_instance()
+    return inst, [(1, slot_site(inst, 2, 4, 1))]
+
+
+def doubles_only() -> tuple[ProtocolInstance, list[tuple[int, int]]]:
+    """Doubles in two trials, two of them on one check (its outcome flips back)."""
+    inst = steane_identity_instance()
+    doubles = [(0, 0, 6), (0, 3, 0), (0, 3, 2), (2, 1, 5)]
+    return inst, sorted((trial, slot_site(inst, j, q, t)) for trial, j, q in doubles for t in (0, 1))
+
+
+def data_faults_only() -> tuple[ProtocolInstance, list[tuple[int, int]]]:
+    inst = ProtocolInstance(STEANE, OuterCode(BinMatrix(3, 4, (0b1110, 0b1010, 0b0010)), 0, 0),
+                            strict=False)
+    return inst, [(0, 0), (0, 1), (0, 3), (2, 1), (3, 2)]
+
+
+def wide_singles_across_trials() -> tuple[ProtocolInstance, list[tuple[int, int]]]:
+    """Check 3 holds singles in trials 0 and 1, adjacent in the list: a logical, then a detection.
+
+    WIDE's masks take three words, and the two trials' runs must not merge.
+    """
+    inst = ProtocolInstance(WIDE, IDENTITY_OUTER, strict=False)
+    logical = [(0, slot_site(inst, 3, 63 + q)) for q in (0, 1, 2)]
+    return inst, logical + [(1, slot_site(inst, 3, 66)), (1, slot_site(inst, 3, 69, 1))]
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=fault_lists(), mode=st.sampled_from(["idealized", "exact"]))
 @example(case=padding_extremes(), mode="idealized")
 @example(case=padding_extremes(), mode="exact")
+@example(case=(steane_identity_instance(), []), mode="idealized")
+@example(case=(steane_identity_instance(), []), mode="exact")
+@example(case=one_slot_fault(), mode="idealized")
+@example(case=one_slot_fault(), mode="exact")
+@example(case=doubles_only(), mode="idealized")
+@example(case=doubles_only(), mode="exact")
+@example(case=data_faults_only(), mode="idealized")
+@example(case=data_faults_only(), mode="exact")
+@example(case=wide_singles_across_trials(), mode="idealized")
+@example(case=wide_singles_across_trials(), mode="exact")
 def test_verdicts_match_the_per_check_oracle(case, mode):
     inst, faults = case
     trial = np.array([t for t, _ in faults], dtype=np.int64)
@@ -235,6 +282,15 @@ def test_verdicts_match_the_per_check_oracle(case, mode):
         assert (np.diff(keys) > 0).all()  # sorted and unique
     as_pairs = tuple({divmod(int(k), inst.num_checks) for k in keys} for keys in found)
     assert as_pairs == oracle_verdicts(inst, mode, faults)
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (5, 1), (0, 3), (5, 0)])
+def test_nonzero_rows_matches_any(shape):
+    words = np.zeros(shape, dtype=np.uint64)
+    for i, j in [(1, 0), (2, 1), (3, 2), (4, 2)]:
+        if i < shape[0] and j < shape[1]:
+            words[i, j] = np.uint64(1 << (21 * j + i))
+    assert _nonzero_rows(words).tolist() == words.any(axis=1).tolist()
 
 
 class TestSiteLayout:
@@ -574,6 +630,61 @@ class TestMonteCarlo:
             monte_carlo(inst, 0.1, 100, seed=0, corruption="maybe")
         with pytest.raises(ValueError):
             monte_carlo(inst, 0.1, 100, seed=0, block_size=0)
+
+
+class TestSharedPool:
+    """Threaded calls share one pool per process; a forked child builds its own."""
+
+    ARGS = (1e-2, 1 << 15, 3)
+    KWARGS = dict(workers=2, block_size=1 << 13)
+
+    def test_later_calls_start_no_thread(self, monkeypatch):
+        inst = steane_identity_instance()
+        first = monte_carlo(inst, *self.ARGS, **self.KWARGS)
+        started = []
+        real_start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        reports = [monte_carlo(inst, *self.ARGS, **self.KWARGS) for _ in range(5)]
+        monkeypatch.undo()
+        assert started == []
+        assert reports == [first] * 5
+
+    def test_concurrent_callers_get_the_serial_report(self):
+        inst = steane_identity_instance()
+        expected = monte_carlo(inst, *self.ARGS, workers=1, block_size=1 << 13)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as callers:
+                futures = [callers.submit(monte_carlo, inst, *self.ARGS, workers=3,
+                                          block_size=1 << 13) for _ in range(8)]
+                reports = [future.result(timeout=30) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert reports == [expected] * 8
+
+    def test_forked_child_gets_the_parents_report(self):
+        inst = steane_identity_instance()
+        expected = monte_carlo(inst, *self.ARGS, **self.KWARGS)  # the parent's pool exists now
+        ctx = multiprocessing.get_context("fork")
+        reader, writer = ctx.Pipe(duplex=False)
+        with reader, writer:
+            child = ctx.Process(
+                target=lambda: writer.send(monte_carlo(inst, *self.ARGS, **self.KWARGS))
+            )
+            child.start()
+            child.join(10)
+            if child.is_alive():  # a child that waits on the parent's threads never returns
+                child.terminate()
+                child.join()
+                pytest.fail("the forked child's monte_carlo call hung")
+            assert child.exitcode == 0
+            assert reader.poll(0) and reader.recv() == expected
 
 
 class TestPegSchedule:
