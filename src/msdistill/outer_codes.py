@@ -12,6 +12,8 @@ from .gf2 import BinMatrix, exhaustive_guard, low_weight_syndromes
 from .inner_codes import CssCodeParams
 
 INFINITE_GIRTH = math.inf
+# PEG hands a mask of at least this many checks to numpy instead of a bit loop
+_NUMPY_FROM = 24
 
 
 @dataclass(frozen=True)
@@ -68,15 +70,20 @@ def girth(code: OuterCode | BinMatrix) -> float:
     Every cycle holds a check, so a level-synchronous BFS runs from each check
     over packed masks (check -> bits, bit -> checks). The first level L at
     which an unseen vertex is reached from two frontier vertices closes a
-    cycle of length at most 2L, and a check on a shortest cycle meets it. An
-    :class:`OuterCode` answers from its cached :attr:`OuterCode.tanner_girth`.
+    cycle of length at most 2L, and a check on a shortest cycle meets it.
+    Each start is then retired, counted as seen by later starts: every cycle
+    through it has been searched, and a shortest cycle is still found from
+    its first check. An :class:`OuterCode` answers from its cached
+    :attr:`OuterCode.tanner_girth`.
     """
     if isinstance(code, OuterCode):
         return code.tanner_girth
     neighbors = (code.row_bits, code.column_bits())  # by side: checks, bits
     best = INFINITE_GIRTH
+    retired = 0
     for start in range(code.rows):
-        seen, frontier, side, level = [1 << start, 0], 1 << start, 0, 0
+        seen, frontier, side, level = [retired | 1 << start, 0], 1 << start, 0, 0
+        retired |= frontier
         while frontier and 2 * level + 2 < best:
             level += 1
             once = twice = 0
@@ -118,59 +125,130 @@ def _replay_stream(rng: random.Random) -> np.random.Generator:
 def _peg_attempt(a_n: int, m: int, w: int, s: int, rng: random.Random) -> BinMatrix | None:
     """One progressive-edge-growth pass: the matrix, or None if it gets stuck.
 
-    Bit by bit, each of its s edges goes to the open check (degree < w, not
-    yet adjacent) farthest from the bit in the current graph, unreached checks
-    first, then the lowest degree, then the lowest draw, then the lowest
-    index. Every open candidate consumes one ``rng.random()`` draw per edge,
-    in ascending check order; the draws are replayed through numpy's MT19937
-    (:func:`_replay_stream`).
+    Bit by bit, each of its s edges goes to an open candidate check (degree
+    < w, not yet adjacent) chosen on Python-int masks of checks:
+
+    - **Component.** A union-find keeps one mask per connected component of
+      the check graph (checks sharing a bit). If the bit's component misses
+      a candidate (always so on its first edge), the pool is the candidates
+      outside it, the unreached ones.
+    - **BFS.** Otherwise a BFS from the bit's checks, check to check, runs
+      until at most one candidate is unreached. The pool is that one, or the
+      candidates of the level that reached the last of them: the farthest.
+      When the unreached candidates are fewer than the level's checks, they
+      are tested against the level first, and the BFS ends there if the next
+      level would leave at most one of them.
+    - **Degree class.** One mask per degree gives the pool's lowest-degree
+      checks, the ties, in one AND per degree.
+    - **Draw.** Every candidate consumes one ``rng.random()`` draw per edge,
+      in ascending check order, replayed through numpy's MT19937
+      (:func:`_replay_stream`). The tie with the lowest draw, then the
+      lowest index, wins; only tied draws are read, and numpy ranks only
+      large tie sets.
     """
     draws = _replay_stream(rng)
+    drawn = np.empty(m)
     n_bytes = (m + 7) // 8
 
     def members(mask: int) -> np.ndarray:
         raw = np.frombuffer(mask.to_bytes(n_bytes, "little"), dtype=np.uint8)
         return np.unpackbits(raw, count=m, bitorder="little").view(bool)
 
-    # Python-int bitmasks: bit -> its checks, check -> its bits, and check ->
-    # the checks that share a bit with it, so the BFS steps check to check
-    bit_checks = [0] * a_n
+    def find(c: int) -> int:
+        while root[c] != c:
+            root[c] = c = root[root[c]]
+        return c
+
+    def farthest(sources: int, candidates: int) -> int:
+        # BFS check to check; the sources' component holds every candidate
+        reached = level = sources
+        unreached = candidates
+        while True:
+            size = level.bit_count()
+            if unreached.bit_count() < size:
+                # test the unreached candidates alone: does the next level
+                # leave at most one of them?
+                rest, far = unreached, 0
+                while rest:
+                    low = rest & -rest
+                    if not two_step[low.bit_length() - 1] & level:
+                        if far:
+                            break
+                        far = low
+                    rest ^= low
+                else:
+                    return far or unreached
+            step = 0
+            if size < _NUMPY_FROM:
+                while level:
+                    low = level & -level
+                    step |= two_step[low.bit_length() - 1]
+                    level ^= low
+            else:
+                for c in members(level).nonzero()[0].tolist():
+                    step |= two_step[c]
+            level = step & ~reached
+            reached |= level
+            unreached = candidates & ~reached
+            if not unreached & (unreached - 1):
+                return unreached or candidates & level
+
     check_bits = [0] * m
-    two_step = [0] * m
-    degree = np.zeros(m, dtype=np.int64)
+    two_step = [0] * m  # check -> the checks that share a bit with it
+    by_degree = [(1 << m) - 1] + [0] * (w - 1)  # degree -> its open checks
+    root = list(range(m))
+    component = [1 << c for c in range(m)]  # union-find root -> its component
     open_checks = (1 << m) - 1
     for bit in range(a_n):
         placed: list[int] = []
+        mine = 0
         for _ in range(s):
-            candidates = open_checks & ~bit_checks[bit]
+            candidates = open_checks & ~mine
             if not candidates:
                 return None
-            # BFS by check distance 1, 3, 5, ..., stopping at the level that
-            # reaches the last candidate or when nothing new is reached
-            reached = level = bit_checks[bit]
-            while candidates & ~reached:
-                step = 0
-                for c in members(level).nonzero()[0].tolist():
-                    step |= two_step[c]
-                level = step & ~reached
-                if not level:
-                    level = candidates & ~reached
+            pool = candidates
+            if placed:
+                home = find(placed[0])
+                pool &= ~component[home]
+                if not pool:
+                    pool = farthest(mine, candidates)
+            for same_degree in by_degree:
+                ties = pool & same_degree
+                if ties:
                     break
-                reached |= level
-            cand = members(candidates).nonzero()[0]
-            r = draws.random(cand.size)
-            key = degree[cand] + w * ~members(level)[cand]
-            chosen = int(cand[np.where(key == key.min(), r, 2.0).argmin()])
+            r = draws.random(out=drawn[: candidates.bit_count()])
+            if not ties & (ties - 1):
+                chosen = ties.bit_length() - 1
+            elif ties.bit_count() < _NUMPY_FROM:
+                # a check's draw sits at its rank among the candidates
+                best = 2.0
+                while ties:
+                    low = ties & -ties
+                    draw = r.item((candidates & (low - 1)).bit_count())
+                    if draw < best:
+                        best, chosen = draw, low.bit_length() - 1
+                    ties ^= low
+            else:
+                cand = members(candidates).nonzero()[0]
+                chosen = int(cand[np.where(members(ties)[cand], r, 2.0).argmin()])
             chosen_mask = 1 << chosen
-            bit_checks[bit] |= chosen_mask
-            check_bits[chosen] |= 1 << bit
-            two_step[chosen] |= bit_checks[bit]
+            if placed:
+                other = find(chosen)
+                if other != home:
+                    root[other] = home
+                    component[home] |= component[other]
             for c in placed:
                 two_step[c] |= chosen_mask
             placed.append(chosen)
-            degree[chosen] += 1
-            if degree[chosen] == w:
-                open_checks &= ~chosen_mask
+            mine |= chosen_mask
+            two_step[chosen] |= mine
+            check_bits[chosen] |= 1 << bit
+            d = check_bits[chosen].bit_count()
+            by_degree[d - 1] ^= chosen_mask
+            if d == w:
+                open_checks ^= chosen_mask
+            else:
+                by_degree[d] |= chosen_mask
     return BinMatrix(m, a_n, tuple(check_bits))
 
 
@@ -191,7 +269,9 @@ def build_biregular(
     per edge, so a fixed seed always builds the same code. Each attempt runs
     to the end, and a code that passes the degree audit is judged by its
     :attr:`OuterCode.tanner_girth`, which it keeps. Raises ConstructionError
-    (carrying the best girth seen) if the retry budget runs out.
+    before any attempt if w > a_n (equivalently s > m), which no simple graph
+    meets, and otherwise (carrying the best girth seen) if the retry budget
+    runs out.
     """
     if w < 1 or s < 1:
         raise ValueError("degrees must be >= 1")
@@ -199,6 +279,13 @@ def build_biregular(
         raise ValueError(f"a_n*s = {a_n * s} not divisible by w = {w}")
     if girth_target < 4 or girth_target % 2:
         raise ValueError("girth target must be even and >= 4")
+    if max_attempts < 1:
+        raise ValueError("max_attempts must be >= 1")
+    if w > a_n:
+        raise ConstructionError(
+            f"no ({w},{s})-biregular graph exists for a_n={a_n}: "
+            f"a check of degree w = {w} needs w <= a_n distinct bits"
+        )
     m = a_n * s // w
 
     best: float | None = None

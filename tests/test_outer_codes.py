@@ -55,6 +55,21 @@ class TestBuildBiregular:
         with pytest.raises(ValueError):
             build_biregular(4, 1, 1, 5, seed=0)
 
+    @pytest.mark.parametrize("a_n, w, s, max_attempts, error, message", [
+        (4, 1, 1, 0, ValueError, "max_attempts must be >= 1"),
+        # w > a_n, the same as s > m: a check cannot find w distinct bits
+        (2, 3, 3, 40, ConstructionError, "needs w <= a_n distinct bits"),
+        (30, 40, 4, 40, ConstructionError, "needs w <= a_n distinct bits"),
+    ])
+    def test_refused_before_any_attempt(self, monkeypatch, a_n, w, s, max_attempts, error, message):
+        def no_attempt(*args):
+            raise AssertionError("attempted")
+
+        monkeypatch.setattr(outer_codes, "_peg_attempt", no_attempt)
+        with pytest.raises(error, match=message) as excinfo:
+            build_biregular(a_n, w, s, 4, seed=0, max_attempts=max_attempts)
+        assert getattr(excinfo.value, "best_girth", None) is None
+
     def test_edge_identity(self):
         for a_n, w, s in [(12, 3, 1), (9, 3, 3), (8, 4, 2)]:
             code = build_biregular(a_n, w, s, 4, seed=3)
@@ -91,7 +106,17 @@ class TestPegMatchesOracle:
     @given(peg_shapes(), st.integers(0, 10**6), st.integers(0, 40))
     # stuck: s = 3 edges per bit but only two checks
     @example((2, 3, 3), 0, 0)
+    # stuck at the last bit after two edges: w does not divide a_n * s, so the
+    # m = 26 checks hold 78 of the 80 edges
+    @example((20, 3, 4), 1, 0)
+    @example((30, 3, 1), 1, 0)  # s = 1: every edge is a bit's first, with no search
+    @example((24, 1, 3), 1, 0)  # w = 1: every check closes at its first edge
     @example((60, 3, 3), 1, 0)
+    # past a_n = 48: large tie sets and long BFS levels
+    @example((120, 3, 2), 1, 0)
+    @example((96, 6, 3), 1, 0)
+    @example((120, 2, 4), 1, 0)
+    @example((300, 5, 3), 1, 0)
     def test_same_matrix(self, shape, seed, attempt):
         a_n, w, s = shape
         m = a_n * s // w
@@ -113,17 +138,23 @@ class TestPegMatchesOracle:
 
 
 class TestPinnedSchedules:
-    """Outputs recorded before PEG drew its tie-breaks in bulk; a seed's code must not change."""
+    """Outputs recorded before a PEG rewrite; a seed's code must not change.
 
-    @pytest.mark.parametrize("a_n, digest", [
-        (9, "8a479ec582ea05a8"),
-        (18, "d535ea38db299aa9"),
-        (60, "ca7a454587a964dc"),
-        (240, "14aceeb7ddbab30a"),
-        (600, "3f38ffe98ba8e633"),
+    The (3, 3) digests predate the bulk tie-break draws, the other two the
+    component and degree-class masks.
+    """
+
+    @pytest.mark.parametrize("a_n, w, s, girth_target, digest", [
+        (9, 3, 3, 6, "8a479ec582ea05a8"),
+        (18, 3, 3, 6, "d535ea38db299aa9"),
+        (60, 3, 3, 6, "ca7a454587a964dc"),
+        (240, 3, 3, 6, "14aceeb7ddbab30a"),
+        (600, 3, 3, 6, "3f38ffe98ba8e633"),
+        (120, 3, 2, 8, "24298e9c7718e195"),
+        (120, 2, 4, 6, "c832a0ff7256a635"),
     ])
-    def test_schedule_text(self, a_n, digest):
-        text = build_biregular(a_n, 3, 3, 6, 1).to_text()
+    def test_schedule_text(self, a_n, w, s, girth_target, digest):
+        text = build_biregular(a_n, w, s, girth_target, 1).to_text()
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
     def test_construction_error_message(self):
