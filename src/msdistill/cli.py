@@ -11,6 +11,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import asdict
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from . import __version__
@@ -182,11 +183,11 @@ def _resolve(
 def _load_config(path: str) -> dict[str, Any]:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    # A previous output file embeds its config; accept it directly as a replay.
+    if isinstance(data, dict) and "config" in data and "version" in data:
+        data = data["config"]
     if not isinstance(data, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
-    # A previous output file embeds its config; accept it directly as a replay.
-    if "config" in data and "version" in data:
-        data = data["config"]
     return data
 
 
@@ -337,11 +338,10 @@ def cmd_outer_build(config: dict[str, Any]) -> Output:
             config["a_n"], config["w"], config["s"], config["girth"], config["seed"],
             max_attempts=config["max_attempts"],
         )
-    except (ValueError, ConstructionError) as exc:
-        best = getattr(exc, "best_girth", None)
-        raise InfeasibleError(
-            f"{exc}" + ("" if best is None else f" (closest girth reached: {best})")
-        ) from exc
+    except ConstructionError as exc:
+        raise InfeasibleError(str(exc)) from exc
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     g = code.tanner_girth
     results = {
         "a_n": code.num_bits,
@@ -354,22 +354,14 @@ def cmd_outer_build(config: dict[str, Any]) -> Output:
 
 def cmd_check_sensitivity(config: dict[str, Any]) -> Output:
     with open(config["matrix_file"], "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        code = OuterCode.from_text(text)
-    except ValueError:
-        code = BinMatrix.from_text(text)
+        code = OuterCode.from_text(fh.read())
     try:
         ok, witness = check_sensitivity(code, config["d_tilde"], config["s_req"])
     except ValueError as exc:
         raise InfeasibleError(str(exc)) from exc
     results: dict[str, Any] = {"sensitive": ok}
     if witness is not None:
-        results["witness"] = {
-            "pattern_bits": witness.pattern_bits,
-            "weight": witness.weight,
-            "violated_checks": witness.violated_checks,
-        }
+        results["witness"] = asdict(witness)
     return Output(results, failure=None if ok else "sensitivity check failed; witness in output")
 
 

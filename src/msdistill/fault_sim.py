@@ -390,10 +390,8 @@ def monte_carlo(
     count or _POOL_THREADS. A single share runs on the calling thread; two or
     more run on the process's shared pool (:func:`_shared_pool`), each on its
     own thread: the pool starts threads only when it has fewer idle than the
-    call has shares, and keeps them for later calls. A forked child drops the
-    pool it inherited, whose threads did not survive the fork, and builds a
-    new one. This sparse draw replaced a dense one, so a given seed yields
-    different, equally distributed counts than earlier versions did.
+    call has shares, and keeps them for later calls. A forked child builds a
+    new pool: the threads of the one it inherited did not survive the fork.
     """
     if not 0 <= eps < 0.5:
         raise ValueError("eps must be in [0, 0.5)")

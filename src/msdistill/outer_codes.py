@@ -44,15 +44,23 @@ class OuterCode:
         return girth(self.matrix)
 
     def to_text(self) -> str:
-        g = self.tanner_girth
-        g_str = "inf" if g == INFINITE_GIRTH else str(g)
-        return f"{self.check_degree} {self.bit_degree} {g_str}\n{self.matrix.to_text()}"
+        return f"{self.check_degree} {self.bit_degree} {self.tanner_girth}\n{self.matrix.to_text()}"
 
     @classmethod
     def from_text(cls, text: str) -> "OuterCode":
-        header, _, body = text.partition("\n")
-        w, s, _ = header.split()
-        return cls(BinMatrix.from_text(body), int(w), int(s))
+        """Read :meth:`to_text`'s ``w s girth`` header and rows, or bare 0/1 rows.
+
+        The header's girth is never read. Bare rows declare their largest row
+        and column weights, so :meth:`degree_audit` holds iff they are biregular.
+        """
+        header, _, rows = text.lstrip().partition("\n")
+        if len(header.split()) > 1:  # a row has no spaces
+            w, s, _ = header.split()
+            return cls(BinMatrix.from_text(rows), int(w), int(s))
+        matrix = BinMatrix.from_text(text)
+        w = max((r.bit_count() for r in matrix.row_bits), default=0)
+        s = max((c.bit_count() for c in matrix.column_bits()), default=0)
+        return cls(matrix, w, s)
 
 
 @dataclass(frozen=True)
@@ -101,7 +109,9 @@ def girth(code: OuterCode | BinMatrix) -> float:
     return best
 
 
-class ConstructionError(RuntimeError):
+class ConstructionError(ValueError):
+    """No biregular graph was built; ``best_girth`` is the best an attempt reached, if any."""
+
     def __init__(self, message: str, best_girth: float | None = None):
         super().__init__(message)
         self.best_girth = best_girth
@@ -266,21 +276,22 @@ def build_biregular(
     Progressive edge growth (Hu, Eleftheriou & Arnold 2005) with seeded
     tie-breaking. Attempt ``a`` draws from ``random.Random(seed * 1_000_003 +
     a)``, replayed through numpy's MT19937, one draw per open candidate check
-    per edge, so a fixed seed always builds the same code. Each attempt runs
-    to the end, and a code that passes the degree audit is judged by its
-    :attr:`OuterCode.tanner_girth`, which it keeps. Raises ConstructionError
-    before any attempt if w > a_n (equivalently s > m), which no simple graph
-    meets, and otherwise (carrying the best girth seen) if the retry budget
-    runs out.
+    per edge, so a fixed seed always builds the same code. A finished attempt
+    gives each bit s distinct checks and no check over w edges, so its a_n * s
+    = m * w edges fill every check to exactly w: it needs no degree audit and
+    is judged by the :attr:`OuterCode.tanner_girth` it keeps. Raises
+    ConstructionError before any attempt for a shape no simple graph has (w
+    not dividing a_n * s, or w > a_n), and with the best girth seen when the
+    retry budget runs out; other bad arguments raise ValueError.
     """
     if w < 1 or s < 1:
         raise ValueError("degrees must be >= 1")
-    if (a_n * s) % w != 0:
-        raise ValueError(f"a_n*s = {a_n * s} not divisible by w = {w}")
     if girth_target < 4 or girth_target % 2:
         raise ValueError("girth target must be even and >= 4")
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
+    if (a_n * s) % w != 0:
+        raise ConstructionError(f"a_n*s = {a_n * s} not divisible by w = {w}")
     if w > a_n:
         raise ConstructionError(
             f"no ({w},{s})-biregular graph exists for a_n={a_n}: "
@@ -294,13 +305,9 @@ def build_biregular(
         if matrix is None:
             continue
         code = OuterCode(matrix, w, s)
-        if not code.degree_audit():
-            continue
-        g = code.tanner_girth
-        if best is None or g > best:
-            best = g
-        if g >= girth_target:
+        if code.tanner_girth >= girth_target:
             return code
+        best = max(best or 0, code.tanner_girth)  # a Tanner girth is >= 4
     raise ConstructionError(
         f"no ({w},{s})-biregular graph with girth >= {girth_target} found "
         f"for a_n={a_n} within {max_attempts} attempts (best girth: {best})",

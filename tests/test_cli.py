@@ -119,6 +119,20 @@ class TestOuterCommands:
         )
         assert code == EXIT_INFEASIBLE
 
+    @pytest.mark.parametrize("flag", [["--max-attempts", "0"], ["--w", "0"], ["--girth", "5"]])
+    def test_argument_error_is_usage_error(self, capsys, flag):
+        argv = ["outer-build", "--a-n", "4", "--w", "1", "--s", "1", *flag]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: ")
+
+    def test_exhausted_retries_report_best_girth_once(self, capsys):
+        argv = ["outer-build", "--a-n", "4", "--w", "2", "--s", "2", "--girth", "10",
+                "--max-attempts", "3"]
+        assert main(argv) == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: ")
+        assert err.endswith(" (best girth: 8)\n") and err.count("8") == 1
+
     def test_failed_sensitivity_exits_two(self, capsys, tmp_path):
         schedule = tmp_path / "identity.txt"
         schedule.write_text("10\n01\n")
@@ -415,6 +429,22 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err == "usage error: --outer-size must be >= 1\n"
 
+    def test_outer_file_takes_bare_rows(self, capsys, tmp_path):
+        _, doc = run_json(capsys, ["outer-build", "--a-n", "9", "--w", "3", "--s", "3",
+                                   "--girth", "6", "--seed", "7"])
+        headed = tmp_path / "headed.txt"
+        headed.write_text(doc["results"]["code_text"])
+        bare = tmp_path / "bare.txt"
+        bare.write_text(doc["results"]["code_text"].partition("\n")[2])
+        results = []
+        for schedule in (headed, bare):
+            code, doc = run_json(capsys, ["simulate", "--outer", str(schedule), "--eps", "0.01",
+                                          "--trials", "5000", "--seed", "3", "--mode", "exact"])
+            assert code == EXIT_OK
+            results.append(doc["results"])
+        assert results[0] == results[1]
+        assert results[0]["accepted"] < results[0]["trials"]
+
     def test_slope_fit_without_events_hints_at_trials(self, capsys):
         argv = ["simulate", "--eps", "1e-6,2e-6", "--trials", "10"]
         assert main(argv) == EXIT_INFEASIBLE
@@ -516,6 +546,13 @@ class TestConfigFileChecks:
         )
         assert code == EXIT_USAGE
         assert "'eps0'" in captured.err
+
+    @pytest.mark.parametrize("embedded", ["x", [1], 5])
+    def test_replayed_config_must_be_an_object(self, capsys, tmp_path, embedded):
+        values = {"config": embedded, "version": "0.1.0"}
+        code, captured = self.run_config(capsys, tmp_path, ["analyze"], values)
+        assert code == EXIT_USAGE
+        assert captured.err.endswith("cfg.json must hold a JSON object\n")
 
     def test_unknown_key_refused(self, capsys, tmp_path):
         code, captured = self.run_config(
@@ -777,3 +814,35 @@ class TestEverySubcommand:
         assert main([name, *(f.format(schedule=schedule) for f in flags)]) == expected
         doc = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
         assert doc["subcommand"] == name
+
+
+# Boundary inputs of every subcommand, each fast: the argv and its exit code. None may raise.
+BOUNDARY = [
+    (["gv-search", "--n-min", "0", "--n-max", "3"], EXIT_OK),
+    (["validate-code", "--matrix-file", "{empty}", "--n", "1", "--k", "1", "--d", "1"],
+     EXIT_USAGE),
+    (["outer-build", "--a-n", "0", "--w", "1", "--s", "1"], EXIT_INFEASIBLE),
+    (["check-sensitivity", "--matrix-file", "{empty}", "--d-tilde", "0", "--s-req", "0"],
+     EXIT_OK),
+    (["analyze", "--inner", "7,1,3", "--eps0", "0"], EXIT_OK),
+    (["analyze", "--config", "{replay}"], EXIT_USAGE),
+    (["search", "--rate-floor-log10", "0", "--n-max", "0"], EXIT_INFEASIBLE),
+    # 1/sqrt(35), the 15-to-1 fixed point: the baseline's catalyst rounds never get below
+    (["compare", "--eps-in", "0.1690308509457033"], EXIT_INFEASIBLE),
+    (["simulate", "--outer", "{empty}", "--trials", "10"], EXIT_OK),
+    (["simulate", "--eps", "0", "--trials", "1"], EXIT_OK),
+    (["table-s1", "--eps0", "0"], EXIT_OK),
+]
+
+
+class TestBoundaryInputs:
+    def test_table_covers_every_subcommand(self):
+        assert {argv[0] for argv, _ in BOUNDARY} == COMMANDS.keys()
+
+    @pytest.mark.parametrize("argv, expected", BOUNDARY, ids=[" ".join(a) for a, _ in BOUNDARY])
+    def test_exits_without_traceback(self, capsys, tmp_path, argv, expected):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        replay = tmp_path / "replay.json"
+        replay.write_text(json.dumps({"config": 5, "version": __version__}))
+        assert main([a.format(empty=empty, replay=replay) for a in argv]) == expected

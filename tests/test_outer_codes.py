@@ -60,6 +60,9 @@ class TestBuildBiregular:
         # w > a_n, the same as s > m: a check cannot find w distinct bits
         (2, 3, 3, 40, ConstructionError, "needs w <= a_n distinct bits"),
         (30, 40, 4, 40, ConstructionError, "needs w <= a_n distinct bits"),
+        # w does not divide a_n * s: no check count fits the edges
+        (5, 3, 2, 40, ConstructionError, "not divisible by w"),
+        (4, 0, 1, 40, ValueError, "degrees must be >= 1"),
     ])
     def test_refused_before_any_attempt(self, monkeypatch, a_n, w, s, max_attempts, error, message):
         def no_attempt(*args):
@@ -68,6 +71,7 @@ class TestBuildBiregular:
         monkeypatch.setattr(outer_codes, "_peg_attempt", no_attempt)
         with pytest.raises(error, match=message) as excinfo:
             build_biregular(a_n, w, s, 4, seed=0, max_attempts=max_attempts)
+        assert excinfo.type is error
         assert getattr(excinfo.value, "best_girth", None) is None
 
     def test_edge_identity(self):
@@ -122,7 +126,11 @@ class TestPegMatchesOracle:
         m = a_n * s // w
         stream = seed * 1_000_003 + attempt
         expected = oracle_peg_attempt(a_n, m, w, s, random.Random(stream))
-        assert _peg_attempt(a_n, m, w, s, random.Random(stream)) == expected
+        matrix = _peg_attempt(a_n, m, w, s, random.Random(stream))
+        assert matrix == expected
+        # what lets build_biregular skip the degree audit
+        if matrix is not None and m * w == a_n * s:
+            assert OuterCode(matrix, w, s).degree_audit()
 
     @settings(deadline=None, max_examples=60)
     @given(peg_shapes(), st.integers(0, 10**6))
@@ -443,6 +451,18 @@ def test_serialization_round_trip():
     assert back.matrix == code.matrix
     assert (back.check_degree, back.bit_degree) == (3, 3)
     assert text.splitlines()[0] == "3 3 6"
+
+
+@pytest.mark.parametrize("rows, degrees, biregular", [
+    (build_biregular(9, 3, 3, 6, seed=7).matrix.to_text(), (3, 3), True),
+    ("110\n011\n001\n", (2, 2), False),
+    ("", (0, 0), True),
+], ids=["built", "irregular", "empty"])
+def test_bare_rows_declare_their_largest_weights(rows, degrees, biregular):
+    code = OuterCode.from_text(rows)
+    assert code.matrix == BinMatrix.from_text(rows)
+    assert (code.check_degree, code.bit_degree) == degrees
+    assert code.degree_audit() is biregular
 
 
 def test_forest_girth_serializes_as_inf():
