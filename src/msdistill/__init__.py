@@ -15,6 +15,16 @@ Submodules:
 
 __version__ = "0.1.0"
 
+
+# Defined before the submodule imports below, because they import it from here.
+class InfeasibleError(ValueError):
+    """A well-posed question with no answer, or one the tool refuses to compute.
+
+    Every other ValueError is a bad argument; the ``msdistill`` command exits 2
+    on this class and 1 on those.
+    """
+
+
 from .analytics import (
     StageReport,
     overhead_exponent,
@@ -50,6 +60,7 @@ __all__ = [
     "__version__",
     "BinMatrix",
     "CssCodeParams",
+    "InfeasibleError",
     "LogScalar",
     "OuterCode",
     "PipelineReport",

@@ -6,16 +6,13 @@ from dataclasses import dataclass
 from itertools import count, islice
 from typing import Iterator
 
+from . import InfeasibleError
 from .inner_codes import CssCodeParams
 from .logdomain import ONE, LogScalar, log10_binomial, pow_one_minus
 
 REED_MULLER_OVERHEAD_EXPONENT = 2.46
 FIFTEEN_TO_ONE_INPUTS = 15
 FIFTEEN_TO_ONE_ERROR_COEFF = 35
-
-
-class ThresholdError(ValueError):
-    """A 15->1 round got an input error of 1 or more: the chain started above threshold."""
 
 
 @dataclass(frozen=True)
@@ -49,16 +46,16 @@ def _predistill_rounds(eps0: LogScalar | float) -> Iterator[StageReport]:
     """The reports after 0, 1, 2, ... rounds of 15->1, each taking eps to 35 eps^3.
 
     After p rounds eps_out = 35^((3^p-1)/2) eps0^(3^p). Each round's input is
-    checked against threshold and its success probability (1-eps)^15
-    accumulated. An eps_out whose log10 falls below float range (from about
-    p = 646) is the zero.
+    checked against threshold (InfeasibleError at 1 or more) and its success
+    probability (1-eps)^15 accumulated. An eps_out whose log10 falls below
+    float range (from about p = 646) is the zero.
     """
     eps, success = _as_eps(eps0), ONE
     for index in count():
         inputs = LogScalar.coerce(FIFTEEN_TO_ONE_INPUTS) ** index
         yield StageReport("pre_distillation", inputs, eps, success)
         if not eps < ONE:
-            raise ThresholdError(f"15->1 round {index + 1}: input error must be below 1")
+            raise InfeasibleError(f"15->1 round {index + 1}: input error must be below 1")
         success = success * pow_one_minus(eps, FIFTEEN_TO_ONE_INPUTS)
         eps = LogScalar.coerce(FIFTEEN_TO_ONE_ERROR_COEFF) * eps**3
 

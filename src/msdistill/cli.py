@@ -14,8 +14,8 @@ import sys
 from dataclasses import asdict
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
-from . import __version__
-from .analytics import ThresholdError, overhead_exponent
+from . import InfeasibleError, __version__
+from .analytics import overhead_exponent
 from .comparison import CSV_HEADER, figure2_dataset
 from .fault_sim import (
     DEFAULT_BLOCK_SIZE, ProtocolInstance, fit_error_order, make_single_check_instance, monte_carlo,
@@ -26,10 +26,9 @@ from .inner_codes import (
     load_named_code, validate_code,
 )
 from .logdomain import LogScalar
-from .outer_codes import ConstructionError, OuterCode, build_biregular, check_sensitivity
+from .outer_codes import OuterCode, build_biregular, check_sensitivity
 from .pipeline import (
-    DEFAULT_INPUT_ERROR, PipelineReport, ProtocolSpec, SearchError, StageError, default_scale_rule,
-    evaluate, search_best,
+    DEFAULT_INPUT_ERROR, PipelineReport, ProtocolSpec, default_scale_rule, evaluate, search_best,
 )
 
 EXIT_OK = 0
@@ -45,17 +44,9 @@ CONVENTIONS = {
 }
 
 
-class UsageError(Exception):
-    pass
-
-
-class InfeasibleError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 # ------------------------------------------------------------- option kinds
@@ -161,7 +152,7 @@ def _resolve(
     """
     unknown = sorted(set(file_values) - {option.key for option in command.options})
     if unknown:
-        raise UsageError(f"unknown config key {unknown[0]!r}")
+        raise ValueError(f"unknown config key {unknown[0]!r}")
     config = {}
     for option in command.options:
         value = option.default
@@ -171,11 +162,11 @@ def _resolve(
                 if option.choices and value not in option.choices:
                     raise ValueError(f"{value!r} is not one of {', '.join(option.choices)}")
             except ValueError as exc:
-                raise UsageError(f"config key {option.key!r}: {exc}") from None
+                raise ValueError(f"config key {option.key!r}: {exc}") from None
         if flags.get(option.key) is not None:
             value = flags[option.key]
         if option.required and value is None:
-            raise UsageError(f"{option.flag} is required")
+            raise ValueError(f"{option.flag} is required")
         config[option.key] = value
     return config
 
@@ -187,7 +178,7 @@ def _load_config(path: str) -> dict[str, Any]:
     if isinstance(data, dict) and "config" in data and "version" in data:
         data = data["config"]
     if not isinstance(data, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
+        raise ValueError(f"config file {path} must hold a JSON object")
     return data
 
 
@@ -274,31 +265,25 @@ def _report_record(report: PipelineReport) -> dict[str, Any]:
 _GV_COLUMNS = ("n", "k_single", "k_double", "d", "gamma", "status")
 
 
+def _gv_row(n: int) -> dict[str, Any]:
+    """One gv-search row; a block length the bound gives no code for is a status, not an exit."""
+    d = ln_rule_distance(n) if n >= 2 else 0
+    if d < 3:
+        return {"n": n, "d": d, "status": "infeasible"}
+    try:
+        single = gv_params(n, d)
+        double = gv_params(n, d, entropy_variant="double")
+    except ValueError as exc:
+        return {"n": n, "d": d, "status": f"infeasible: {exc}"}
+    return {"n": n, "d": d, "status": "ok", "k_single": single.k_q, "k_double": double.k_q,
+            "gamma": round(overhead_exponent(single), 6)}
+
+
 def cmd_gv_search(config: dict[str, Any]) -> Output:
     n_min, n_max, step = config["n_min"], config["n_max"], config["step"]
     if n_min < 0 or step < 1:
-        raise UsageError("need n_min >= 0 and step >= 1")
-
-    rows = []
-    for n in range(n_min, n_max + 1, step):
-        d = ln_rule_distance(n) if n >= 2 else 0
-        row: dict[str, Any] = {"n": n, "d": d}
-        if d < 3:
-            row["status"] = "infeasible"
-        else:
-            try:
-                single = gv_params(n, d)
-                double = gv_params(n, d, entropy_variant="double")
-                row.update(
-                    status="ok",
-                    k_single=single.k_q,
-                    k_double=double.k_q,
-                    gamma=round(overhead_exponent(single), 6),
-                )
-            except ValueError as exc:
-                row["status"] = f"infeasible: {exc}"
-        rows.append(row)
-
+        raise ValueError("need n_min >= 0 and step >= 1")
+    rows = [_gv_row(n) for n in range(n_min, n_max + 1, step)]
     csv_rows = (",".join(str(r.get(c, "")) for c in _GV_COLUMNS) for r in rows)
     return Output(rows, csv_rows=csv_rows)
 
@@ -306,17 +291,17 @@ def cmd_gv_search(config: dict[str, Any]) -> Output:
 def cmd_validate_code(config: dict[str, Any]) -> Output:
     if config["code"]:
         if any(config[key] is not None for key in ("matrix_file", "n", "k", "d")):
-            raise UsageError("--code takes no --matrix-file, --n, --k or --d")
+            raise ValueError("--code takes no --matrix-file, --n, --k or --d")
         code = load_named_code(config["code"])
     elif config["matrix_file"]:
         if None in (config["n"], config["k"], config["d"]):
-            raise UsageError("--matrix-file needs --n, --k and --d")
+            raise ValueError("--matrix-file needs --n, --k and --d")
         with open(config["matrix_file"], "r", encoding="utf-8") as fh:
             matrix = BinMatrix.from_text(fh.read())
         params = CssCodeParams(config["n"], config["k"], config["d"])
         code = WeaklySelfDualCode(params, matrix)
     else:
-        raise UsageError("provide --code NAME or --matrix-file PATH")
+        raise ValueError("provide --code NAME or --matrix-file PATH")
 
     report = validate_code(code)
     results = {
@@ -333,15 +318,10 @@ def cmd_validate_code(config: dict[str, Any]) -> Output:
 
 
 def cmd_outer_build(config: dict[str, Any]) -> Output:
-    try:
-        code = build_biregular(
-            config["a_n"], config["w"], config["s"], config["girth"], config["seed"],
-            max_attempts=config["max_attempts"],
-        )
-    except ConstructionError as exc:
-        raise InfeasibleError(str(exc)) from exc
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    code = build_biregular(
+        config["a_n"], config["w"], config["s"], config["girth"], config["seed"],
+        max_attempts=config["max_attempts"],
+    )
     g = code.tanner_girth
     results = {
         "a_n": code.num_bits,
@@ -355,10 +335,7 @@ def cmd_outer_build(config: dict[str, Any]) -> Output:
 def cmd_check_sensitivity(config: dict[str, Any]) -> Output:
     with open(config["matrix_file"], "r", encoding="utf-8") as fh:
         code = OuterCode.from_text(fh.read())
-    try:
-        ok, witness = check_sensitivity(code, config["d_tilde"], config["s_req"])
-    except ValueError as exc:
-        raise InfeasibleError(str(exc)) from exc
+    ok, witness = check_sensitivity(code, config["d_tilde"], config["s_req"])
     results: dict[str, Any] = {"sensitive": ok}
     if witness is not None:
         results["witness"] = asdict(witness)
@@ -396,8 +373,8 @@ def cmd_compare(config: dict[str, Any]) -> Output:
             entry["eps0"] = config["eps_in"]
         try:
             specs.append(_analyze_spec(entry))
-        except UsageError as exc:
-            raise UsageError(f"specs[{i}]: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"specs[{i}]: {exc}") from None
     rows, metadata = figure2_dataset(
         pre_rounds_max=config["pre_rounds_max"],
         pipeline_specs=specs,
@@ -417,7 +394,7 @@ def _build_instance(config: dict[str, Any]) -> ProtocolInstance:
     inner = load_named_code(config["inner"])
     kind, a_n = config["outer"], config["outer_size"]
     if kind in ("identity", "single-check") and a_n < 1:
-        raise UsageError("--outer-size must be >= 1")
+        raise ValueError("--outer-size must be >= 1")
     if kind == "identity":
         return ProtocolInstance(inner, OuterCode(BinMatrix.identity(a_n), 1, 1), strict=False)
     if kind == "single-check":
@@ -434,33 +411,23 @@ def cmd_simulate(config: dict[str, Any]) -> Output:
         workers=config["workers"], block_size=config["block_size"],
     )
     eps_values = config["eps"] if isinstance(config["eps"], list) else [config["eps"]]
-    try:
-        if len(eps_values) == 1:
-            report = monte_carlo(
-                instance, eps_values[0], config["trials"], config["seed"], **mc_kwargs
-            )
-            results: Any = report.to_json_dict()
-            point, lo, hi = report.eps_out_total
-            point_text = "" if point is None else f"{point:.6g}"  # no accepted trials
-            csv_rows: Iterable[str] = (f"{eps:.6g},{point_text},{lo:.6g},{hi:.6g}"
-                                       for eps in eps_values)
-        else:
-            fit = fit_error_order(
-                instance, eps_values, config["trials"], config["seed"], **mc_kwargs
-            )
-            results = {
-                "slope": round(fit.slope, 6),
-                "intercept": round(fit.intercept, 6),
-                "points": [
-                    {"eps": eps, "eps_out": out, "events": events}
-                    for eps, out, events in fit.points
-                ],
-            }
-            csv_rows = (f"{eps:.6g},{out:.6g},{events}" for eps, out, events in fit.points)
-    except ValueError as exc:
-        raise InfeasibleError(str(exc)) from exc
-    except RuntimeError as exc:  # the slope fit found fewer than two points with events
-        raise InfeasibleError(f"{exc} (hint: raise --trials or the eps values)") from exc
+    if len(eps_values) == 1:
+        report = monte_carlo(instance, eps_values[0], config["trials"], config["seed"], **mc_kwargs)
+        results: Any = report.to_json_dict()
+        point, lo, hi = report.eps_out_total
+        point_text = "" if point is None else f"{point:.6g}"  # no accepted trials
+        csv_rows: Iterable[str] = (f"{eps:.6g},{point_text},{lo:.6g},{hi:.6g}"
+                                   for eps in eps_values)
+    else:
+        fit = fit_error_order(instance, eps_values, config["trials"], config["seed"], **mc_kwargs)
+        results = {
+            "slope": round(fit.slope, 6),
+            "intercept": round(fit.intercept, 6),
+            "points": [
+                {"eps": eps, "eps_out": out, "events": events} for eps, out, events in fit.points
+            ],
+        }
+        csv_rows = (f"{eps:.6g},{out:.6g},{events}" for eps, out, events in fit.points)
     return Output(results, csv_rows=csv_rows)
 
 
@@ -606,6 +573,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     Any other first argument gets the full parser, so its help and errors list every subcommand.
     A process builds each parser once, so repeated in-process calls reuse it; a console run
     still builds one. CSV rows are built only for ``--format csv``.
+
+    This is the one place an exception becomes an exit code. An InfeasibleError, or an
+    output's ``failure`` after the output is written, prints ``infeasible: …`` and exits 2;
+    any other ValueError or an OSError prints ``usage error: …`` and exits 1.
     """
     argv = sys.argv[1:] if argv is None else argv
     # the full parser as build_parser() so that callers share one cache entry
@@ -620,14 +591,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if out.failure:
             raise InfeasibleError(out.failure)
         return EXIT_OK
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (InfeasibleError, SearchError, StageError, ThresholdError) as exc:
+    except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError) as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

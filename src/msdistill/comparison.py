@@ -5,7 +5,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Sequence
 
-from .analytics import FIFTEEN_TO_ONE_INPUTS, ThresholdError, _predistill_rounds
+from . import InfeasibleError
+from .analytics import FIFTEEN_TO_ONE_INPUTS, _predistill_rounds
 from .inner_codes import binary_entropy
 from .logdomain import LogScalar
 from .pipeline import DEFAULT_INPUT_ERROR, ProtocolSpec, evaluate
@@ -74,7 +75,7 @@ def qag_catalyst_rounds(eps_in: float, threshold: float) -> CatalystSchedule:
         eps = report.eps_out.to_float()
         if eps <= threshold:
             return CatalystSchedule(rounds, eps, eps / threshold)
-    raise ThresholdError(f"threshold not reached within {MAX_CATALYST_ROUNDS} rounds")
+    raise InfeasibleError(f"threshold not reached within {MAX_CATALYST_ROUNDS} rounds")
 
 
 def qag_rate(params: QagParams, catalyst_rounds: int) -> LogScalar:

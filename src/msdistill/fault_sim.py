@@ -32,6 +32,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import InfeasibleError
 from .analytics import hadamard_step_counts
 from .gf2 import BinMatrix, exhaustive_guard, row_space
 from .inner_codes import CssCodeParams, WeaklySelfDualCode
@@ -445,7 +446,8 @@ def fit_error_order(
     """Estimate the error-suppression order from a Monte Carlo sweep.
 
     Points are weighted by their erroneous-accept counts (the inverse variance
-    of a log-Poisson estimate); zero-event points are dropped.
+    of a log-Poisson estimate); zero-event points are dropped. Raises
+    InfeasibleError when fewer than two points are left.
     """
     points = []
     for i, eps in enumerate(eps_values):
@@ -453,7 +455,9 @@ def fit_error_order(
         if report.accepted and report.erroneous_accepted:
             points.append((eps, report.eps_out_total[0], report.erroneous_accepted))
     if len(points) < 2:
-        raise RuntimeError("not enough nonzero points for a slope fit")
+        raise InfeasibleError(
+            "not enough nonzero points for a slope fit (raise trials or the eps values)"
+        )
     x = np.log([p[0] for p in points])
     y = np.log([p[1] for p in points])
     w = np.array([p[2] for p in points], dtype=float)

@@ -12,6 +12,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import InfeasibleError
+
 SYNDROME_CHUNK_ROWS = 1 << 13  # supports per chunk of low_weight_syndromes
 EXHAUSTIVE_PATTERN_GUARD = 10**7  # most supports an exhaustive search may enumerate
 
@@ -162,10 +164,10 @@ def support_count(n: int, weight_max: int) -> int:
 
 
 def exhaustive_guard(n: int, weight_max: int) -> None:
-    """Raise ValueError when the supports up to weight_max pass EXHAUSTIVE_PATTERN_GUARD."""
+    """Raise InfeasibleError when the supports up to weight_max pass EXHAUSTIVE_PATTERN_GUARD."""
     count = support_count(n, weight_max)
     if count > EXHAUSTIVE_PATTERN_GUARD:
-        raise ValueError(
+        raise InfeasibleError(
             f"{count} supports up to weight {weight_max} exceed the exhaustive guard "
             f"({EXHAUSTIVE_PATTERN_GUARD})"
         )
@@ -181,7 +183,7 @@ def low_weight_syndromes(
     smallest unsigned type that holds cols, and (rows, words) uint64, bit
     ``i % 64`` of word ``i // 64`` being matrix row ``i``. Weight w extends the
     stored weight-(w-1) prefixes by every larger index, so memory stays near
-    C(cols, w-1) prefixes plus one chunk. Raises ValueError, through
+    C(cols, w-1) prefixes plus one chunk. Raises InfeasibleError, through
     :func:`exhaustive_guard`, before starting a weight that would take the
     support count past EXHAUSTIVE_PATTERN_GUARD.
     """

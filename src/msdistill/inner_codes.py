@@ -183,9 +183,7 @@ CODE_LIBRARY: dict[str, WeaklySelfDualCode] = {
 
 
 def load_named_code(name: str) -> WeaklySelfDualCode:
-    try:
-        return CODE_LIBRARY[name.lower()]
-    except KeyError:
-        raise KeyError(
-            f"unknown code {name!r}; known codes: {sorted(CODE_LIBRARY)}"
-        ) from None
+    """The library code called ``name``, in any case; an unknown name is a ValueError."""
+    if name.lower() not in CODE_LIBRARY:
+        raise ValueError(f"unknown code {name!r}; known codes: {sorted(CODE_LIBRARY)}")
+    return CODE_LIBRARY[name.lower()]

@@ -8,6 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import InfeasibleError
 from .gf2 import BinMatrix, exhaustive_guard, low_weight_syndromes
 from .inner_codes import CssCodeParams
 
@@ -107,14 +108,6 @@ def girth(code: OuterCode | BinMatrix) -> float:
             frontier = once & ~seen[side]
             seen[side] |= frontier
     return best
-
-
-class ConstructionError(ValueError):
-    """No biregular graph was built; ``best_girth`` is the best an attempt reached, if any."""
-
-    def __init__(self, message: str, best_girth: float | None = None):
-        super().__init__(message)
-        self.best_girth = best_girth
 
 
 def _replay_stream(rng: random.Random) -> np.random.Generator:
@@ -280,10 +273,13 @@ def build_biregular(
     gives each bit s distinct checks and no check over w edges, so its a_n * s
     = m * w edges fill every check to exactly w: it needs no degree audit and
     is judged by the :attr:`OuterCode.tanner_girth` it keeps. Raises
-    ConstructionError before any attempt for a shape no simple graph has (w
-    not dividing a_n * s, or w > a_n), and with the best girth seen when the
-    retry budget runs out; other bad arguments raise ValueError.
+    InfeasibleError before any attempt for a shape no simple graph has (w
+    not dividing a_n * s, or w > a_n), and with the best girth seen in its
+    message when the retry budget runs out; a_n or a degree below 1 and the
+    other bad arguments raise ValueError first.
     """
+    if a_n < 1:
+        raise ValueError("a_n must be >= 1")
     if w < 1 or s < 1:
         raise ValueError("degrees must be >= 1")
     if girth_target < 4 or girth_target % 2:
@@ -291,9 +287,9 @@ def build_biregular(
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
     if (a_n * s) % w != 0:
-        raise ConstructionError(f"a_n*s = {a_n * s} not divisible by w = {w}")
+        raise InfeasibleError(f"a_n*s = {a_n * s} not divisible by w = {w}")
     if w > a_n:
-        raise ConstructionError(
+        raise InfeasibleError(
             f"no ({w},{s})-biregular graph exists for a_n={a_n}: "
             f"a check of degree w = {w} needs w <= a_n distinct bits"
         )
@@ -308,10 +304,9 @@ def build_biregular(
         if code.tanner_girth >= girth_target:
             return code
         best = max(best or 0, code.tanner_girth)  # a Tanner girth is >= 4
-    raise ConstructionError(
+    raise InfeasibleError(
         f"no ({w},{s})-biregular graph with girth >= {girth_target} found "
-        f"for a_n={a_n} within {max_attempts} attempts (best girth: {best})",
-        best_girth=best,
+        f"for a_n={a_n} within {max_attempts} attempts (best girth: {best})"
     )
 
 

@@ -4,9 +4,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from . import InfeasibleError
 from .analytics import (
     StageReport,
-    ThresholdError,
     hadamard_step_counts,
     output_error_bound,
     predistill_chain,
@@ -63,24 +63,13 @@ class PipelineReport:
                 f"{self.success_prob.log10:.6f}")
 
 
-class StageError(ValueError):
-    """The 15->1 chain (stage 0) or the check round (stage 1) got an input error of 1 or more."""
-
-    def __init__(self, index: int, message: str):
-        super().__init__(f"stage {index}: {message}")
-
-
-class SearchError(ValueError):
-    """search_best has nothing to return: an empty search space, or no spec above the floor."""
-
-
 def evaluate(spec: ProtocolSpec, *, success_eps: str = "required") -> PipelineReport:
     """Protocol evaluation: the 15->1 chain's report, the check round's, and their totals.
 
     An eps0 outside [0, 1) is a plain ValueError. A chain that started above
-    threshold is a StageError: stage 0 when a 15->1 round gets an input
-    error of 1 or more, stage 1 when the chain delivers one to the check
-    round.
+    threshold is an InfeasibleError, its message prefixed "stage 0: " when a
+    15->1 round gets an input error of 1 or more and "stage 1: " when the
+    chain delivers one to the check round.
 
     ``success_eps`` selects which intermediate error enters the check round's
     success probability and output bound: "required" (the design target
@@ -97,10 +86,10 @@ def evaluate(spec: ProtocolSpec, *, success_eps: str = "required") -> PipelineRe
 
     try:
         pre = predistill_chain(spec.pre_rounds, eps)
-    except ThresholdError as exc:
-        raise StageError(0, str(exc)) from exc
+    except InfeasibleError as exc:
+        raise InfeasibleError(f"stage 0: {exc}") from exc
     if not pre.eps_out < ONE:
-        raise StageError(1, "input error must be below 1")
+        raise InfeasibleError("stage 1: input error must be below 1")
 
     a_n, m = outer_size_for(spec.inner, spec.scale)
     n_prime = hadamard_step_counts(spec.inner, a_n, m)
@@ -139,25 +128,25 @@ def search_best(
 
     Candidates are all (inner code, p) pairs with one check-schedule round at
     the default scale A = k^d after p rounds of 15->1. A candidate whose
-    chain crosses threshold (a StageError) is skipped, as is one below the
-    floor. Ties break deterministically toward smaller n_q, then smaller p,
-    independent of enumeration order. Raises SearchError when no candidate is
-    left.
+    chain crosses threshold (evaluate's InfeasibleError) is skipped, as is
+    one below the floor. Ties break deterministically toward smaller n_q, then
+    smaller p, independent of enumeration order. Raises InfeasibleError for an
+    empty search space and when no candidate is left.
     """
     rate_floor = LogScalar.coerce(rate_floor)
     pre_rounds = sorted(set(pre_rounds))
     if not inner_candidates or not pre_rounds:
-        raise SearchError("empty search space")
+        raise InfeasibleError("empty search space")
 
     best_key: tuple[float, int, int] | None = None
     best_spec: ProtocolSpec | None = None
-    crossed: StageError | None = None
+    crossed: InfeasibleError | None = None
     for params in inner_candidates:
         for p in pre_rounds:
             spec = ProtocolSpec(p, params, default_scale_rule(params), eps0)
             try:
                 report = evaluate(spec, success_eps=success_eps)
-            except StageError as exc:
+            except InfeasibleError as exc:
                 crossed = exc
                 continue
             if not report.effective_rate > rate_floor:
@@ -168,5 +157,5 @@ def search_best(
                 best_spec = spec
     if best_spec is None:
         skipped = "" if crossed is None else f"; skipped above threshold ({crossed})"
-        raise SearchError(f"no candidate satisfies the rate floor{skipped}")
+        raise InfeasibleError(f"no candidate satisfies the rate floor{skipped}")
     return best_spec

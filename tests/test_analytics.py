@@ -5,8 +5,8 @@ from conftest import fifteen_to_one
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msdistill import InfeasibleError
 from msdistill.analytics import (
-    ThresholdError,
     hadamard_step_counts,
     output_error_bound,
     overhead_exponent,
@@ -74,7 +74,7 @@ class TestPredistillChain:
     def test_input_above_threshold_diverges(self):
         # 0.2 -> 0.28 -> 0.77 -> 15.8: the fourth round's input is not an error rate
         predistill_chain(3, 0.2)
-        with pytest.raises(ThresholdError, match="round 4"):
+        with pytest.raises(InfeasibleError, match="round 4"):
             predistill_chain(4, 0.2)
 
 

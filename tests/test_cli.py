@@ -10,7 +10,7 @@ import pytest
 import msdistill
 from msdistill import __version__
 from msdistill.cli import (
-    COMMANDS, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, UsageError, _resolve, build_parser, main,
+    COMMANDS, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, _resolve, build_parser, main,
 )
 from msdistill.inner_codes import CssCodeParams
 from msdistill.pipeline import ProtocolSpec, evaluate
@@ -405,20 +405,20 @@ class TestSimulate:
         assert doc["results"]["eps_out_total"] is None
         assert doc["results"]["eps_out_ci"] == [0.0, 1.0]
 
-    def test_guard_violation_exits_two(self, capsys):
-        assert main(["simulate", "--eps", "0.9", "--trials", "10"]) == EXIT_INFEASIBLE
-        assert capsys.readouterr().err == "infeasible: eps must be in [0, 0.5)\n"
+    def test_guard_violation_is_usage_error(self, capsys):
+        assert main(["simulate", "--eps", "0.9", "--trials", "10"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: eps must be in [0, 0.5)\n"
 
-    def test_zero_block_size_exits_two(self, capsys):
+    def test_zero_block_size_is_usage_error(self, capsys):
         argv = ["simulate", "--eps", "0.01", "--trials", "10", "--block-size", "0"]
-        assert main(argv) == EXIT_INFEASIBLE
-        assert capsys.readouterr().err == "infeasible: block_size must be >= 1\n"
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: block_size must be >= 1\n"
 
     @pytest.mark.parametrize("workers", ["0", "-4"])
-    def test_nonpositive_workers_exit_two(self, capsys, workers):
+    def test_nonpositive_workers_are_usage_error(self, capsys, workers):
         argv = ["simulate", "--eps", "0.01", "--trials", "10", "--workers", workers]
-        assert main(argv) == EXIT_INFEASIBLE
-        assert capsys.readouterr().err == "infeasible: workers must be >= 1\n"
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: workers must be >= 1\n"
 
     @pytest.mark.parametrize("outer", ["identity", "single-check"])
     @pytest.mark.parametrize("size", ["0", "-1"])
@@ -450,7 +450,7 @@ class TestSimulate:
         assert main(argv) == EXIT_INFEASIBLE
         assert capsys.readouterr().err == (
             "infeasible: not enough nonzero points for a slope fit "
-            "(hint: raise --trials or the eps values)\n"
+            "(raise trials or the eps values)\n"
         )
 
     def test_replay_is_byte_identical(self, tmp_path):
@@ -675,7 +675,7 @@ def full_parser_error(argv):
     try:
         args = build_parser().parse_args(argv)
         _resolve(COMMANDS[args.subcommand], {}, vars(args))
-    except UsageError as exc:
+    except ValueError as exc:
         return str(exc)
     raise AssertionError(f"{argv} is not a usage error")
 
@@ -816,21 +816,30 @@ class TestEverySubcommand:
         assert doc["subcommand"] == name
 
 
-# Boundary inputs of every subcommand, each fast: the argv and its exit code. None may raise.
+# Boundary inputs of every subcommand, each fast: the argv and its exit code, which the
+# stderr prefix must name. None may raise.
 BOUNDARY = [
     (["gv-search", "--n-min", "0", "--n-max", "3"], EXIT_OK),
     (["validate-code", "--matrix-file", "{empty}", "--n", "1", "--k", "1", "--d", "1"],
      EXIT_USAGE),
-    (["outer-build", "--a-n", "0", "--w", "1", "--s", "1"], EXIT_INFEASIBLE),
+    (["validate-code", "--code", "nope"], EXIT_USAGE),
+    (["outer-build", "--a-n", "0", "--w", "1", "--s", "1"], EXIT_USAGE),
     (["check-sensitivity", "--matrix-file", "{empty}", "--d-tilde", "0", "--s-req", "0"],
      EXIT_OK),
+    # 5000 columns up to weight 3 pass the exhaustive guard
+    (["check-sensitivity", "--matrix-file", "{wide}", "--d-tilde", "3", "--s-req", "1"],
+     EXIT_INFEASIBLE),
     (["analyze", "--inner", "7,1,3", "--eps0", "0"], EXIT_OK),
+    (["analyze", "--inner", "1,1,1"], EXIT_USAGE),
     (["analyze", "--config", "{replay}"], EXIT_USAGE),
     (["search", "--rate-floor-log10", "0", "--n-max", "0"], EXIT_INFEASIBLE),
     # 1/sqrt(35), the 15-to-1 fixed point: the baseline's catalyst rounds never get below
     (["compare", "--eps-in", "0.1690308509457033"], EXIT_INFEASIBLE),
     (["simulate", "--outer", "{empty}", "--trials", "10"], EXIT_OK),
     (["simulate", "--eps", "0", "--trials", "1"], EXIT_OK),
+    (["simulate", "--trials", "0"], EXIT_USAGE),
+    # no erroneous accept at either eps: the slope fit has no points
+    (["simulate", "--eps", "1e-6,2e-6", "--trials", "10"], EXIT_INFEASIBLE),
     (["table-s1", "--eps0", "0"], EXIT_OK),
 ]
 
@@ -843,6 +852,11 @@ class TestBoundaryInputs:
     def test_exits_without_traceback(self, capsys, tmp_path, argv, expected):
         empty = tmp_path / "empty.txt"
         empty.write_text("")
+        wide = tmp_path / "wide.txt"
+        wide.write_text("0" * 5000 + "\n")
         replay = tmp_path / "replay.json"
         replay.write_text(json.dumps({"config": 5, "version": __version__}))
-        assert main([a.format(empty=empty, replay=replay) for a in argv]) == expected
+        assert main([a.format(empty=empty, wide=wide, replay=replay) for a in argv]) == expected
+        prefix = {EXIT_OK: "", EXIT_USAGE: "usage error: ", EXIT_INFEASIBLE: "infeasible: "}
+        err = capsys.readouterr().err
+        assert err.startswith(prefix[expected]) and bool(err) == (expected != EXIT_OK)

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from msdistill.analytics import ThresholdError, predistill_chain
+from msdistill import InfeasibleError
+from msdistill.analytics import predistill_chain
 from msdistill.comparison import (
     PUBLISHED_MIN_BLOCK_LENGTH,
     ComparisonRow,
@@ -86,7 +87,7 @@ class TestCatalystRounds:
 
     def test_input_above_fifteen_to_one_threshold(self):
         # 0.5 -> 4.375 after one round: the second round's input is not an error rate
-        with pytest.raises(ThresholdError, match="round 2"):
+        with pytest.raises(InfeasibleError, match="round 2"):
             qag_catalyst_rounds(0.5, qag_threshold())
 
 

@@ -1,11 +1,12 @@
 """Every name a package module imports is used in that module, ``__all__`` is exact,
-and every exported name has a caller.
+every exported name has a caller, and the package keeps one failure class.
 
 No linter ships with the toolchain, so this walks each module's syntax tree:
 an imported name counts as used if the module reads it anywhere, or, in
 ``__init__``, if ``__all__`` lists it.
 """
 import ast
+import builtins
 import re
 from pathlib import Path
 
@@ -90,3 +91,54 @@ def test_every_export_has_a_caller():
     exported = {name for name in msdistill.__all__ if not name.startswith("__")}
     uncalled = exported - called - UNCALLED_EXPORTS
     assert not uncalled, f"exported names nothing calls: {sorted(uncalled)}"
+
+
+BUILTIN_EXCEPTIONS = {
+    name for name, value in vars(builtins).items()
+    if isinstance(value, type) and issubclass(value, BaseException)
+}
+
+
+def exception_classes(trees: dict[str, ast.Module]) -> dict[str, str]:
+    """Each exception class the trees define, mapped to its module's name.
+
+    A class is an exception if one of its bases, by its last name, is a
+    builtin exception or another exception class of the trees.
+    """
+    classes = [
+        (node.name, {ast.unparse(base).rpartition(".")[2] for base in node.bases}, module)
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    ]
+    found: dict[str, str] = {}
+    while new := {name: module for name, bases, module in classes
+                  if name not in found and bases & (BUILTIN_EXCEPTIONS | found.keys())}:
+        found.update(new)
+    return found
+
+
+def test_one_exception_class():
+    # the CLI's exit codes rest on it: InfeasibleError exits 2, any other ValueError 1
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert exception_classes(trees) == {"InfeasibleError": "__init__.py"}
+
+
+def test_second_exception_class_is_caught():
+    trees = {
+        "a.py": ast.parse("class A(ValueError): pass\nclass P(argparse.ArgumentParser): pass\n"),
+        "b.py": ast.parse("from a import A\nclass B(a.A): pass\ndef f():\n    class C(B): pass\n"),
+    }
+    assert exception_classes(trees) == {"A": "a.py", "B": "b.py", "C": "b.py"}
+
+
+def test_only_main_picks_an_exit_code():
+    # a handler raises; cli.main alone catches and maps (cmd_compare only adds an entry's index)
+    tree = ast.parse((Path(msdistill.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    catching = {f.name for f in functions if f.name.startswith("cmd_")
+                and any(isinstance(node, (ast.Try, ast.TryStar)) for node in ast.walk(f))}
+    assert catching <= {"cmd_compare"}
+    exits = {f.name for f in functions for node in ast.walk(f)
+             if isinstance(node, ast.Name) and node.id.startswith("EXIT_")}
+    assert exits == {"main"}

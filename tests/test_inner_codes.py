@@ -209,7 +209,7 @@ class TestCodeLibrary:
         assert load_named_code("rm15") is RM15
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown code 'golay'"):
             load_named_code("golay")
 
     def test_params_guards(self):

@@ -8,12 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from strategies import bin_matrices, random_matrix
 
-from msdistill import outer_codes
+from msdistill import InfeasibleError, outer_codes
 from msdistill.gf2 import BinMatrix, exhaustive_guard
 from msdistill.inner_codes import CssCodeParams
 from msdistill.outer_codes import (
     INFINITE_GIRTH,
-    ConstructionError,
     OuterCode,
     _girth_certifies,
     _peg_attempt,
@@ -42,10 +41,8 @@ class TestBuildBiregular:
     def test_infeasible_girth_reports_best(self):
         # (2,2)-biregular on 4+4 vertices is a cycle cover; girth 10 would
         # need a 10-cycle, which 8 vertices cannot host
-        with pytest.raises(ConstructionError) as excinfo:
+        with pytest.raises(InfeasibleError, match=r"\(best girth: [468]\)$"):
             build_biregular(4, 2, 2, 10, seed=1, max_attempts=10)
-        assert excinfo.value.best_girth is not None
-        assert excinfo.value.best_girth < 10
 
     def test_divisibility_guard(self):
         with pytest.raises(ValueError):
@@ -58,11 +55,12 @@ class TestBuildBiregular:
     @pytest.mark.parametrize("a_n, w, s, max_attempts, error, message", [
         (4, 1, 1, 0, ValueError, "max_attempts must be >= 1"),
         # w > a_n, the same as s > m: a check cannot find w distinct bits
-        (2, 3, 3, 40, ConstructionError, "needs w <= a_n distinct bits"),
-        (30, 40, 4, 40, ConstructionError, "needs w <= a_n distinct bits"),
+        (2, 3, 3, 40, InfeasibleError, "needs w <= a_n distinct bits"),
+        (30, 40, 4, 40, InfeasibleError, "needs w <= a_n distinct bits"),
         # w does not divide a_n * s: no check count fits the edges
-        (5, 3, 2, 40, ConstructionError, "not divisible by w"),
+        (5, 3, 2, 40, InfeasibleError, "not divisible by w"),
         (4, 0, 1, 40, ValueError, "degrees must be >= 1"),
+        (-1, 1, 1, 40, ValueError, "a_n must be >= 1"),
     ])
     def test_refused_before_any_attempt(self, monkeypatch, a_n, w, s, max_attempts, error, message):
         def no_attempt(*args):
@@ -72,7 +70,7 @@ class TestBuildBiregular:
         with pytest.raises(error, match=message) as excinfo:
             build_biregular(a_n, w, s, 4, seed=0, max_attempts=max_attempts)
         assert excinfo.type is error
-        assert getattr(excinfo.value, "best_girth", None) is None
+        assert "best girth" not in str(excinfo.value)
 
     def test_edge_identity(self):
         for a_n, w, s in [(12, 3, 1), (9, 3, 3), (8, 4, 2)]:
@@ -134,13 +132,13 @@ class TestPegMatchesOracle:
 
     @settings(deadline=None, max_examples=60)
     @given(peg_shapes(), st.integers(0, 10**6))
-    @example((4, 2, 2), 1)  # girth 8, the ConstructionError test's best
+    @example((4, 2, 2), 1)  # girth 8, the exhausted-retries test's best
     @example((60, 3, 3), 1)
     def test_built_code_keeps_its_girth(self, shape, seed):
         a_n, w, s = shape
         try:
             code = build_biregular(a_n, w, s, 4, seed, max_attempts=3)
-        except ConstructionError:  # every attempt got stuck
+        except InfeasibleError:  # every attempt got stuck
             return
         assert code.tanner_girth == oracle_girth(code.matrix) == girth(code)
 
@@ -166,13 +164,12 @@ class TestPinnedSchedules:
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
     def test_construction_error_message(self):
-        with pytest.raises(ConstructionError) as excinfo:
+        with pytest.raises(InfeasibleError) as excinfo:
             build_biregular(4, 2, 2, 10, seed=1, max_attempts=10)
         assert str(excinfo.value) == (
             "no (2,2)-biregular graph with girth >= 10 found for a_n=4 "
             "within 10 attempts (best girth: 8)"
         )
-        assert excinfo.value.best_girth == 8
 
 
 class TestGirth:

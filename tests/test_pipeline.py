@@ -2,12 +2,11 @@ import random
 
 import pytest
 
+from msdistill import InfeasibleError
 from msdistill.inner_codes import CssCodeParams, distance_family
 from msdistill.logdomain import LogScalar
 from msdistill.pipeline import (
     ProtocolSpec,
-    SearchError,
-    StageError,
     default_scale_rule,
     evaluate,
     search_best,
@@ -55,7 +54,7 @@ class TestEvaluate:
         # eps0 = 1 is refused before any stage runs, as a plain ValueError
         with pytest.raises(ValueError, match="eps0 must satisfy") as exc_info:
             evaluate(ProtocolSpec(0, BIG_CODE, 1, eps0=1.0))
-        assert not isinstance(exc_info.value, StageError)
+        assert not isinstance(exc_info.value, InfeasibleError)
 
     @pytest.mark.parametrize("pre_rounds, message", [
         # at eps0 = 0.2 the fourth 15->1 round gets an input error of about 15.8
@@ -65,7 +64,7 @@ class TestEvaluate:
     ])
     def test_stage_error_text(self, pre_rounds, message):
         spec = ProtocolSpec(pre_rounds, BIG_CODE, BIG_CODE.k_q**BIG_CODE.d_q, eps0=0.2)
-        with pytest.raises(StageError) as exc_info:
+        with pytest.raises(InfeasibleError) as exc_info:
             evaluate(spec)
         assert str(exc_info.value) == message
 
@@ -125,7 +124,7 @@ class TestSearch:
         candidates = distance_family(10**4)
         below = search_best(self.FLOOR, candidates, range(3), eps0=0.2)
         assert search_best(self.FLOOR, candidates, range(4), eps0=0.2) == below
-        with pytest.raises(SearchError, match="input error must be below 1"):
+        with pytest.raises(InfeasibleError, match="input error must be below 1"):
             search_best(self.FLOOR, candidates, [3], eps0=0.2)
 
     def test_empty_space(self):
