@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
@@ -207,8 +208,14 @@ def _emit(args: argparse.Namespace, command: Command, config: dict[str, Any], ou
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        # Overwrite in place and cut only a longer old tail: a truncating open makes ext4
+        # flush the file on close (auto_da_alloc), and the next such open waits for it.
+        # /dev/null, pipes and ttys report size 0 and refuse ftruncate.
+        data = text.encode("utf-8")
+        with open(os.open(args.output, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+            fh.write(data)
+            if os.fstat(fh.fileno()).st_size > len(data):
+                fh.truncate(len(data))
     else:
         sys.stdout.write(text)
 
@@ -405,12 +412,14 @@ def _build_instance(config: dict[str, Any]) -> ProtocolInstance:
 
 
 def cmd_simulate(config: dict[str, Any]) -> Output:
+    eps_values = config["eps"] if isinstance(config["eps"], list) else [config["eps"]]
+    if not eps_values:
+        raise ValueError("--eps needs at least one value")
     instance = _build_instance(config)
     mc_kwargs = dict(
         mode=config["mode"], corruption=config["corruption"],
         workers=config["workers"], block_size=config["block_size"],
     )
-    eps_values = config["eps"] if isinstance(config["eps"], list) else [config["eps"]]
     if len(eps_values) == 1:
         report = monte_carlo(instance, eps_values[0], config["trials"], config["seed"], **mc_kwargs)
         results: Any = report.to_json_dict()

@@ -342,8 +342,11 @@ def check_sensitivity(
     enumeration; the witness is the first failing pattern, taking weights in
     ascending order and the supports of one weight in lexicographic order.
     Only this path is refused up front, through :func:`gf2.exhaustive_guard`,
-    when the patterns up to weight d_tilde pass the guard.
+    when the patterns up to weight d_tilde pass the guard. A negative bound
+    is refused, since it would be certified vacuously.
     """
+    if d_tilde < 0 or s_req < 0:
+        raise ValueError("d_tilde and s_req must be >= 0")
     if _girth_certifies(code, d_tilde, s_req):
         return True, None
     matrix = code.matrix if isinstance(code, OuterCode) else code

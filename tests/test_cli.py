@@ -445,6 +445,17 @@ class TestSimulate:
         assert results[0] == results[1]
         assert results[0]["accepted"] < results[0]["trials"]
 
+    @pytest.mark.parametrize("source", ["flag-empty", "flag-comma", "config"])
+    def test_empty_eps_list_is_usage_error(self, capsys, tmp_path, source):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eps": []}))
+        eps = {"flag-empty": ["--eps", ""], "flag-comma": ["--eps", ","],
+               "config": ["--config", str(cfg)]}[source]
+        assert main(["simulate", *eps, "--trials", "10"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: --eps needs at least one value\n"
+
     def test_slope_fit_without_events_hints_at_trials(self, capsys):
         argv = ["simulate", "--eps", "1e-6,2e-6", "--trials", "10"]
         assert main(argv) == EXIT_INFEASIBLE
@@ -624,6 +635,61 @@ class TestReplay:
              "--pre-rounds", "0,1,2,3", "--eps0", "0.05"],
         )
         assert doc["config"]["pre_rounds"] == [0, 1, 2, 3]
+
+
+class TestOutputFile:
+    """``--output`` writes the stdout document's bytes whatever the target held before."""
+
+    ARGV = ["analyze", "--inner", "149,117,5", "--pre-rounds", "3"]
+
+    @pytest.fixture(params=["json", "csv"])
+    def argv_and_doc(self, request, capsys):
+        argv = self.ARGV + ["--format", request.param]
+        assert main(argv) == EXIT_OK
+        return argv, capsys.readouterr().out.encode("utf-8")
+
+    @pytest.mark.parametrize("before", [None, b"x" * 5000, b"{}\n"],
+                             ids=["new", "longer", "shorter"])
+    def test_file_holds_exactly_the_document(self, tmp_path, argv_and_doc, before):
+        argv, doc = argv_and_doc
+        target = tmp_path / "out"
+        if before is not None:
+            target.write_bytes(before)
+        assert main(argv + ["--output", str(target)]) == EXIT_OK
+        assert target.read_bytes() == doc
+
+    def test_devnull(self, argv_and_doc):
+        argv, _ = argv_and_doc
+        assert main(argv + ["--output", os.devnull]) == EXIT_OK
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_dev_stdout_into_a_pipe(self, argv_and_doc):
+        argv, doc = argv_and_doc
+        package = Path(msdistill.__file__).resolve().parents[1]
+        run = subprocess.run(
+            [sys.executable, "-m", "msdistill.cli", *argv, "--output", "/dev/stdout"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(package)},
+        )
+        assert (run.returncode, run.stderr) == (EXIT_OK, b"")
+        assert run.stdout == doc
+
+    def test_new_file_mode_follows_the_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            with open(tmp_path / "reference", "w"):
+                pass
+            assert main(self.ARGV + ["--output", str(tmp_path / "out")]) == EXIT_OK
+        finally:
+            os.umask(old)
+        mode = (tmp_path / "out").stat().st_mode
+        assert mode == (tmp_path / "reference").stat().st_mode
+
+    @pytest.mark.parametrize("target", ["dir", "missing/out.json"])
+    def test_unwritable_target_is_usage_error(self, capsys, tmp_path, target):
+        (tmp_path / "dir").mkdir()
+        assert main(self.ARGV + ["--output", str(tmp_path / target)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: [Errno")
 
 
 class TestTableS1:
@@ -826,6 +892,8 @@ BOUNDARY = [
     (["outer-build", "--a-n", "0", "--w", "1", "--s", "1"], EXIT_USAGE),
     (["check-sensitivity", "--matrix-file", "{empty}", "--d-tilde", "0", "--s-req", "0"],
      EXIT_OK),
+    (["check-sensitivity", "--matrix-file", "{empty}", "--d-tilde", "-1", "--s-req", "2"],
+     EXIT_USAGE),
     # 5000 columns up to weight 3 pass the exhaustive guard
     (["check-sensitivity", "--matrix-file", "{wide}", "--d-tilde", "3", "--s-req", "1"],
      EXIT_INFEASIBLE),
@@ -838,6 +906,7 @@ BOUNDARY = [
     (["simulate", "--outer", "{empty}", "--trials", "10"], EXIT_OK),
     (["simulate", "--eps", "0", "--trials", "1"], EXIT_OK),
     (["simulate", "--trials", "0"], EXIT_USAGE),
+    (["simulate", "--eps", "", "--trials", "10"], EXIT_USAGE),
     # no erroneous accept at either eps: the slope fit has no points
     (["simulate", "--eps", "1e-6,2e-6", "--trials", "10"], EXIT_INFEASIBLE),
     (["table-s1", "--eps0", "0"], EXIT_OK),

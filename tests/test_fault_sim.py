@@ -778,6 +778,12 @@ class TestMinUndetectedWeight:
             min_undetected_weight(inst, 6)
         assert time.perf_counter() - start < 1.0
 
+    def test_weight_that_cannot_win_is_not_guarded(self):
+        # a single bit costs 1 + 2 = 3, so weight 3 (10,667,000 supports up to weight 3,
+        # past the 10^7 guard) is never started: the guard runs per started weight
+        inst = ProtocolInstance(STEANE, OuterCode(BinMatrix.identity(400), 1, 1), strict=False)
+        assert min_undetected_weight(inst, 6) == 3
+
     def test_d5_instance_matches_arithmetic_oracle(self):
         # distance-5 synthetic inner; idealized mode never reads the matrix
         inner = WeaklySelfDualCode(

@@ -263,6 +263,17 @@ class TestSensitivity:
         assert witness.weight <= 2
         assert acc.bit_count() == witness.violated_checks < 2
 
+    @pytest.mark.parametrize("d_tilde, s_req", [(-1, 2), (2, -1)])
+    def test_negative_bound_is_refused(self, d_tilde, s_req):
+        # either would hold vacuously: no pattern weighs <= -1, and each violates >= -1 checks
+        for code in (BinMatrix.identity(2), build_biregular(9, 3, 3, 6, seed=7)):
+            with pytest.raises(ValueError, match=r"^d_tilde and s_req must be >= 0$") as info:
+                check_sensitivity(code, d_tilde, s_req)
+            assert not isinstance(info.value, InfeasibleError)
+
+    def test_zero_bound_holds(self):
+        assert check_sensitivity(BinMatrix.identity(2), 0, 0) == (True, None)
+
     def test_exhaustive_guard(self):
         # refused before weight 1, whose first pattern would already be a witness
         message = r"^20833337500 supports up to weight 3 exceed the exhaustive guard \(10000000\)$"
