@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from . import InfeasibleError, __version__
@@ -183,6 +184,79 @@ def _load_config(path: str) -> dict[str, Any]:
     return data
 
 
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's spellings
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _NONFINITE.get(text, text)
+
+
+# the JSON text of a scalar, by its exact type
+_LEAVES: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null",
+}
+
+
+def _json_text(doc: Any) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte, in one pass.
+
+    With ``indent`` set the stdlib runs its generator-based pure-Python encoder,
+    and building a C encoder per container or per leaf costs more than it saves.
+    This writer calls the stdlib's own primitives (``encode_basestring_ascii``,
+    ``int.__repr__``, ``float.__repr__``), writes a dict's scalar member together
+    with its key and separator, and joins one list of pieces once. Tuples are
+    written as lists, a subclass of str, int or float as its base. Any other
+    type raises TypeError, and so does a key that is not a str
+    (``encode_basestring_ascii`` refuses it).
+    """
+    parts: list[str] = []
+    _write_json(doc, "\n", parts.append)
+    return "".join(parts)
+
+
+def _write_json(value: Any, newline: str, append: Callable[[str], None]) -> None:
+    # a module function, not a closure over itself, so that no reference cycle keeps
+    # a document's pieces alive until the cyclic collector runs
+    leaf = _LEAVES.get(type(value))
+    if leaf is not None:
+        append(leaf(value))
+    elif isinstance(value, dict):
+        if not value:
+            append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            item = value[key]
+            leaf = _LEAVES.get(type(item))
+            if leaf is None:
+                append(f"{separator}{encode_basestring_ascii(key)}: ")
+                _write_json(item, inner, append)
+            else:
+                append(f"{separator}{encode_basestring_ascii(key)}: {leaf(item)}")
+            separator = "," + inner
+        append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            append(separator)
+            _write_json(item, inner, append)
+            separator = "," + inner
+        append(newline + "]")
+    else:
+        for base in (str, int, float):
+            if isinstance(value, base):
+                append(_LEAVES[base](value))
+                return
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(args: argparse.Namespace, command: Command, config: dict[str, Any], out: Output) -> None:
     if args.format == "csv":
         lines = [
@@ -205,7 +279,7 @@ def _emit(args: argparse.Namespace, command: Command, config: dict[str, Any], ou
             "metadata": out.metadata or {},
             "results": out.results,
         }
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = _json_text(doc) + "\n"
 
     if args.output:
         # Overwrite in place and cut only a longer old tail: a truncating open makes ext4

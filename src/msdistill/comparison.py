@@ -127,8 +127,10 @@ def figure2_dataset(
     """Assemble the three comparison series: repeated 15->1, this protocol, baseline.
 
     Returns the rows plus a metadata record (convention flags, both block
-    lengths, the catalyst schedule).
+    lengths, the catalyst schedule). A negative ``pre_rounds_max`` is a ValueError.
     """
+    if pre_rounds_max < 0:
+        raise ValueError("rounds must be >= 0")
     # one chain passes through every p; zip stops before a round past pre_rounds_max
     chain = islice(_predistill_rounds(eps_in), 1, None)
     series = [("repeated_15to1", str(p), r) for p, r in zip(range(1, pre_rounds_max + 1), chain)]

@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
 
 from . import InfeasibleError
 from .analytics import (
     StageReport,
+    _predistill_rounds,
     hadamard_step_counts,
     output_error_bound,
     predistill_chain,
@@ -78,16 +80,26 @@ def evaluate(spec: ProtocolSpec, *, success_eps: str = "required") -> PipelineRe
     faithful, but it collapses the post-selection success probability at
     paper-scale parameters).
     """
-    if success_eps not in ("required", "achieved"):
-        raise ValueError(f"unknown success_eps convention {success_eps!r}")
-    # a negative eps0 is refused here, before coerce refuses it with a vaguer message
-    if spec.eps0 < 0 or not (eps := LogScalar.coerce(spec.eps0)) < ONE:
-        raise ValueError("eps0 must satisfy 0 <= eps0 < 1")
-
+    eps = _input_error(spec.eps0, success_eps)
     try:
         pre = predistill_chain(spec.pre_rounds, eps)
     except InfeasibleError as exc:
         raise InfeasibleError(f"stage 0: {exc}") from exc
+    return _after_chain(spec, pre, success_eps)
+
+
+def _input_error(eps0: float, success_eps: str) -> LogScalar:
+    """eps0 in the log domain, once it and the ``success_eps`` convention are checked."""
+    if success_eps not in ("required", "achieved"):
+        raise ValueError(f"unknown success_eps convention {success_eps!r}")
+    # a negative eps0 is refused here, before coerce refuses it with a vaguer message
+    if eps0 < 0 or not (eps := LogScalar.coerce(eps0)) < ONE:
+        raise ValueError("eps0 must satisfy 0 <= eps0 < 1")
+    return eps
+
+
+def _after_chain(spec: ProtocolSpec, pre: StageReport, success_eps: str) -> PipelineReport:
+    """The check round on the chain's report ``pre``, and the protocol's totals."""
     if not pre.eps_out < ONE:
         raise InfeasibleError("stage 1: input error must be below 1")
 
@@ -111,6 +123,20 @@ def evaluate(spec: ProtocolSpec, *, success_eps: str = "required") -> PipelineRe
     )
 
 
+def _chain_reports(eps0: LogScalar, rounds_max: int) -> list[StageReport | InfeasibleError]:
+    """Entry p is the report after p rounds of 15->1, for p up to ``rounds_max``, walked once.
+
+    Every p past the round that crossed threshold holds that round's error,
+    prefixed as ``evaluate`` prefixes it.
+    """
+    reports: list[StageReport | InfeasibleError] = []
+    try:
+        reports.extend(islice(_predistill_rounds(eps0), rounds_max + 1))
+    except InfeasibleError as exc:
+        reports += [InfeasibleError(f"stage 0: {exc}")] * (rounds_max + 1 - len(reports))
+    return reports
+
+
 def default_scale_rule(params: CssCodeParams) -> int:
     """A = k^d, the scale assumed by the finite-size comparison."""
     return params.k_q**params.d_q
@@ -130,22 +156,34 @@ def search_best(
     the default scale A = k^d after p rounds of 15->1. A candidate whose
     chain crosses threshold (evaluate's InfeasibleError) is skipped, as is
     one below the floor. Ties break deterministically toward smaller n_q, then
-    smaller p, independent of enumeration order. Raises InfeasibleError for an
-    empty search space and when no candidate is left.
+    smaller p, independent of enumeration order. An empty ``pre_rounds`` is a
+    plain ValueError; no candidate code, or none left, is an InfeasibleError.
+
+    Every candidate shares eps0, so the 15->1 chain is walked once, up to the
+    largest p, and each candidate's report equals ``evaluate``'s.
     """
     rate_floor = LogScalar.coerce(rate_floor)
     pre_rounds = sorted(set(pre_rounds))
-    if not inner_candidates or not pre_rounds:
+    if not pre_rounds:
+        raise ValueError("pre_rounds needs at least one round count")
+    if not inner_candidates:
         raise InfeasibleError("empty search space")
 
+    chain: list[StageReport | InfeasibleError] = []
     best_key: tuple[float, int, int] | None = None
     best_spec: ProtocolSpec | None = None
     crossed: InfeasibleError | None = None
     for params in inner_candidates:
         for p in pre_rounds:
             spec = ProtocolSpec(p, params, default_scale_rule(params), eps0)
+            if not chain:  # after the first spec's own checks, as evaluate orders them
+                chain = _chain_reports(_input_error(eps0, success_eps), pre_rounds[-1])
+            pre = chain[p]
+            if isinstance(pre, InfeasibleError):
+                crossed = pre
+                continue
             try:
-                report = evaluate(spec, success_eps=success_eps)
+                report = _after_chain(spec, pre, success_eps)
             except InfeasibleError as exc:
                 crossed = exc
                 continue

@@ -1,4 +1,4 @@
-"""Random binary matrices for property tests."""
+"""Random binary matrices and JSON documents for property tests."""
 import numpy as np
 from hypothesis import strategies as st
 
@@ -18,3 +18,44 @@ def bin_matrices(draw, max_rows=8, max_cols=16):
 def random_matrix(rows: int, cols: int, seed: int) -> BinMatrix:
     rng = np.random.default_rng(seed)
     return BinMatrix.from_rows(rng.integers(0, 2, size=(rows, cols)))
+
+
+# any code point, with quotes, backslashes, control characters, non-ASCII text and lone
+# surrogates drawn often enough to be seen (characters() leaves surrogates out unless asked)
+json_text = st.text(st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7fé \U000103ff\U0001f600'),
+    st.characters(categories=["Cs"]),
+    st.characters(),
+))
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(1 << 200), max_value=1 << 200),  # far beyond 64 bits
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e308, float("nan"), float("inf"), float("-inf")]),
+    json_text,
+)
+json_trees = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(json_text, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+def _around(children):
+    """A list, tuple or dict holding one drawn child among a few other trees."""
+    return st.one_of(
+        st.builds(lambda child, rest: [*rest, child], children, st.lists(json_trees, max_size=2)),
+        st.builds(lambda child, rest: (child, *rest), children, st.lists(json_trees, max_size=2)),
+        st.builds(lambda key, child, rest: {**rest, key: child},
+                  json_text, children, st.dictionaries(json_text, json_trees, max_size=2)),
+    )
+
+
+# documents at least four containers deep, with empty containers among the trees
+json_values = _around(_around(_around(_around(json_trees))))

@@ -6,14 +6,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import msdistill
 from msdistill import __version__
 from msdistill.cli import (
-    COMMANDS, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, _resolve, build_parser, main,
+    COMMANDS, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, _json_text, _resolve, build_parser, main,
 )
 from msdistill.inner_codes import CssCodeParams
 from msdistill.pipeline import ProtocolSpec, evaluate
+from strategies import json_values
 
 
 def reject_constant(token):
@@ -286,6 +288,18 @@ class TestSearch:
         argv = ["search", "--rate-floor-log10", "-7", "--eps0", "0.2", "--pre-rounds", "3"]
         assert main(argv) == EXIT_INFEASIBLE
         assert "input error must be below 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag-empty", "flag-comma", "config"])
+    def test_empty_pre_rounds_list_is_usage_error(self, capsys, tmp_path, source):
+        # no round count given is an argument error; an empty code family stays infeasible
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pre_rounds": []}))
+        rounds = {"flag-empty": ["--pre-rounds", ""], "flag-comma": ["--pre-rounds", ","],
+                  "config": ["--config", str(cfg)]}[source]
+        assert main(["search", "--rate-floor-log10", "-7", *rounds]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: pre_rounds needs at least one round count\n"
 
 
 class TestCompare:
@@ -692,6 +706,21 @@ class TestOutputFile:
         assert capsys.readouterr().err.startswith("usage error: [Errno")
 
 
+class TestJsonText:
+    """``_emit``'s writer gives ``json.dumps(indent=2, sort_keys=True)``'s text, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_values)
+    def test_equals_stdlib_indented_dumps(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [{1, 2}, {"a": [frozenset()]}, {1: "a"}, {"a": {2: 3}}],
+                             ids=["set", "nested-set", "int-key", "nested-int-key"])
+    def test_unwritable_value_is_type_error(self, value):
+        with pytest.raises(TypeError):
+            _json_text(value)
+
+
 class TestTableS1:
     def test_rows_and_tolerances(self, capsys):
         code, doc = run_json(capsys, ["table-s1"])
@@ -903,6 +932,7 @@ BOUNDARY = [
     (["search", "--rate-floor-log10", "0", "--n-max", "0"], EXIT_INFEASIBLE),
     # 1/sqrt(35), the 15-to-1 fixed point: the baseline's catalyst rounds never get below
     (["compare", "--eps-in", "0.1690308509457033"], EXIT_INFEASIBLE),
+    (["compare", "--pre-rounds-max", "-1"], EXIT_USAGE),
     (["simulate", "--outer", "{empty}", "--trials", "10"], EXIT_OK),
     (["simulate", "--eps", "0", "--trials", "1"], EXIT_OK),
     (["simulate", "--trials", "0"], EXIT_USAGE),

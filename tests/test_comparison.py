@@ -131,6 +131,12 @@ class TestFigure2Dataset:
         assert 10.0**first.log10_rate == pytest.approx(0.9**15 / 15, rel=1e-9)
         assert 10.0**-first.neg_log10_eps == pytest.approx(0.035, rel=1e-9)
 
+    def test_negative_chain_length_is_refused(self):
+        # not read as 0, which would silently drop the repeated 15->1 series
+        with pytest.raises(ValueError, match="rounds must be >= 0") as exc_info:
+            figure2_dataset(pre_rounds_max=-1)
+        assert not isinstance(exc_info.value, InfeasibleError)
+
     def test_chain_rows_match_predistill_chain(self):
         # one pass of the round loop gives every p the report of its own chain
         rows, _ = figure2_dataset(pre_rounds_max=50)

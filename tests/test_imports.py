@@ -56,6 +56,33 @@ def test_unused_import_is_caught():
     assert set(imported_names(tree)) - used_names(tree) == {"os", "pi"}
 
 
+def indented_json_calls(tree: ast.Module) -> list[int]:
+    """Lines of the ``dumps``/``dump`` calls (``json.`` or bare) that pass ``indent=``."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).rpartition(".")[2] in {"dumps", "dump"}
+        and any(keyword.arg == "indent" for keyword in node.keywords)
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_one_indented_json_writer(path):
+    # indented documents go through cli._json_text alone, which writes the same bytes faster
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert not indented_json_calls(tree), f"{path.name}: json.dumps/dump with indent="
+
+
+def test_indented_json_call_is_caught():
+    tree = ast.parse(
+        "import json\nfrom json import dump\n"
+        "json.dumps(doc, sort_keys=True)\n"
+        "json.dumps(doc, indent=2, sort_keys=True)\n"
+        "dump(doc, fh, indent=None)\n"
+    )
+    assert indented_json_calls(tree) == [4, 5]
+
+
 def test_all_names_resolve():
     missing = [name for name in msdistill.__all__ if not hasattr(msdistill, name)]
     assert not missing, f"__all__ lists names the package lacks: {missing}"

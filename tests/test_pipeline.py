@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from msdistill import InfeasibleError
 from msdistill.inner_codes import CssCodeParams, distance_family
@@ -130,3 +132,72 @@ class TestSearch:
     def test_empty_space(self):
         with pytest.raises(ValueError):
             search_best(self.FLOOR, [], range(3))
+
+
+FAMILY = distance_family(10**4)
+
+
+def search_by_evaluate(rate_floor, inner_candidates, pre_rounds, *, eps0, success_eps):
+    """The reference: search_best as one ``evaluate`` call per candidate, each from round 0."""
+    rate_floor = LogScalar.coerce(rate_floor)
+    pre_rounds = sorted(set(pre_rounds))
+    if not pre_rounds:
+        raise ValueError("pre_rounds needs at least one round count")
+    if not inner_candidates:
+        raise InfeasibleError("empty search space")
+    best_key = best_spec = crossed = None
+    for params in inner_candidates:
+        for p in pre_rounds:
+            spec = ProtocolSpec(p, params, default_scale_rule(params), eps0)
+            try:
+                report = evaluate(spec, success_eps=success_eps)
+            except InfeasibleError as exc:
+                crossed = exc
+                continue
+            if not report.effective_rate > rate_floor:
+                continue
+            key = (report.eps_out.log10, params.n_q, p)
+            if best_key is None or key < best_key:
+                best_key, best_spec = key, spec
+    if best_spec is None:
+        skipped = "" if crossed is None else f"; skipped above threshold ({crossed})"
+        raise InfeasibleError(f"no candidate satisfies the rate floor{skipped}")
+    return best_spec
+
+
+def outcome(search, *args, **kwargs):
+    """The returned spec, or the raised exception's type and message."""
+    try:
+        return search(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestSearchWalksTheChainOnce:
+    @settings(max_examples=150, deadline=None)
+    # eps0 = 0 under "achieved": every output error is 0, so the tie-break alone decides
+    @example(floor_log10=-9.0, candidates=FAMILY, pre_rounds=[3, 0], eps0=0.0,
+             success_eps="achieved")
+    @given(
+        floor_log10=st.floats(-10, -3),  # the family's rates lie near 1e-5 to 1e-8
+        candidates=st.lists(st.sampled_from(FAMILY), max_size=5),
+        # mostly valid round counts; negative entries and empty lists now and then
+        pre_rounds=st.lists(st.integers(0, 8), min_size=1, max_size=5)
+        | st.lists(st.integers(-2, 8), max_size=5),
+        eps0=st.floats(0, 0.3),
+        success_eps=st.sampled_from(["required", "achieved"]),
+    )
+    def test_equals_evaluate_per_candidate(self, floor_log10, candidates, pre_rounds, eps0,
+                                           success_eps):
+        args = (LogScalar.from_log10(floor_log10), candidates, pre_rounds)
+        kwargs = {"eps0": eps0, "success_eps": success_eps}
+        assert outcome(search_best, *args, **kwargs) == outcome(search_by_evaluate, *args,
+                                                                **kwargs)
+
+    @pytest.mark.parametrize("pre_rounds", [[], ()])
+    def test_empty_pre_rounds_is_a_plain_value_error(self, pre_rounds):
+        # checked before the candidates: with both empty, the argument error wins
+        for candidates in (FAMILY, []):
+            with pytest.raises(ValueError, match="at least one round count") as exc_info:
+                search_best(TestSearch.FLOOR, candidates, pre_rounds)
+            assert not isinstance(exc_info.value, InfeasibleError)
