@@ -430,14 +430,13 @@ def cmd_analyze(config: dict[str, Any]) -> Output:
 
 def cmd_search(config: dict[str, Any]) -> Output:
     candidates = distance_family(config["n_max"])
-    spec = search_best(
+    spec, report = search_best(
         LogScalar.from_log10(config["rate_floor_log10"]),
         candidates,
         config["pre_rounds"],
         eps0=config["eps0"],
         success_eps=config["success_eps"],
     )
-    report = evaluate(spec, success_eps=config["success_eps"])
     results = {
         "inner": [spec.inner.n_q, spec.inner.k_q, spec.inner.d_q],
         "candidates_considered": len(candidates),
@@ -614,8 +613,9 @@ COMMANDS = {command.name: command for command in (
         Option("mode", "idealized", STR, "check model", choices=("idealized", "exact")),
         Option("corruption", "erroneous", STR, "count corrupted accepted trials as errors, "
                "or reject them", choices=("erroneous", "reject")),
-        Option("workers", None, INT, "worker threads, each deciding a strided share of the blocks in "
-               "batches (default: one per core)"),
+        Option("workers", None, INT, "upper bound on worker threads, each deciding a strided "
+               "share of the blocks in batches; a call uses at most one per 2^16 expected faults "
+               "(default: one per core)"),
         Option("block_size", DEFAULT_BLOCK_SIZE, INT, "trials per RNG block"),
     ), csv_header="eps,eps_out,ci_low_or_events,ci_high"),
     Command("table-s1", "published-vs-recomputed finite-size rows", cmd_table_s1, (

@@ -10,13 +10,17 @@ verdict decides every check of the trials that the Monte Carlo sampler drew.
 The sampler draws only the faulty sites (the gaps between faults are
 geometric), so its cost, memory included, scales with trials x sites x eps and
 no trial x site grid is built. A fault-free trial is accepted and not
-erroneous. Each worker takes a strided share of the blocks and packs their
-faults into fault lists of up to MAX_CHUNK_FAULTS faults (fewer when the share
-expects fewer), one verdict each, so small blocks at small eps share the
-verdict's fixed cost. Exact mode XORs each check's single-slot faults' packed
-row masks into its parities. The shares of a threaded call run on one thread
-pool per process, built by the first such call and kept for later ones; a
-forked child builds its own.
+erroneous. A trial with one fault, most of the touched trials at small eps, is
+decided by a per-site table that one verdict on the one-fault trial of every
+site builds per call. Each worker takes a strided share of the blocks, counts
+their one-fault trials by site and packs the faults of the other trials into
+fault lists of up to MAX_CHUNK_FAULTS faults (fewer when the share expects
+fewer), one verdict each, so small blocks at small eps share the verdict's
+fixed cost. A call takes at most one share per MAX_CHUNK_FAULTS expected
+faults. Exact mode XORs each check's single-slot faults' packed row masks into
+its parities. The shares of a threaded call run on one thread pool per
+process, built by the first such call and kept for later ones; a forked child
+builds its own.
 ``min_undetected_weight`` needs no verdict: its lightest accepted pattern has
 a closed form over the outer matrix alone.
 """
@@ -285,10 +289,14 @@ def _nonzero_rows(words: np.ndarray) -> np.ndarray:
     return acc != 0
 
 
-def _tally(
+def _outcomes(
     kernel: _Kernel, trial: np.ndarray, site: np.ndarray, rows: int, corruption: str
-) -> tuple[int, int, int]:
-    """(accepted, erroneous_accepted, data_flips_accepted) over trials 0..rows-1 of a fault list."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-trial (accepted, erroneous_accepted, data faults) over trials 0..rows-1 of a fault list.
+
+    The one verdict of the sampler: :func:`_tally` sums it over a packed fault
+    list and :func:`_site_table` reads it off the one-fault trials.
+    """
     m = kernel.num_checks
     rejected, flipped, corrupt = _verdicts(kernel, trial, site)
     accept = np.bincount(np.concatenate((rejected, flipped)) // m, minlength=rows) == 0
@@ -299,57 +307,95 @@ def _tally(
         erroneous = accept & (data > 0)
     else:  # "erroneous": corrupted trials stay in, counted as output errors
         erroneous = accept & ((data > 0) | corrupted)
+    return accept, erroneous, data
+
+
+def _tally(
+    kernel: _Kernel, trial: np.ndarray, site: np.ndarray, rows: int, corruption: str
+) -> tuple[int, int, int]:
+    """(accepted, erroneous_accepted, data_flips_accepted) over trials 0..rows-1 of a fault list.
+
+    The sums of :func:`_outcomes`; the sampler calls it on the fault lists of
+    trials with two or more faults.
+    """
+    accept, erroneous, data = _outcomes(kernel, trial, site, rows, corruption)
     return int(accept.sum()), int(erroneous.sum()), int(data[accept].sum())
 
 
+def _site_table(kernel: _Kernel, sites: int, corruption: str) -> np.ndarray:
+    """The per-site table: a (3, sites) int64 array.
+
+    Column s holds (accepted, erroneous_accepted, data_flips_accepted) of a
+    trial whose only fault is at site s; one verdict decides all ``sites``
+    such trials.
+    """
+    each = np.arange(sites, dtype=np.int64)
+    accept, erroneous, data = _outcomes(kernel, each, each, sites, corruption)
+    return np.stack((accept, erroneous, data * accept)).astype(np.int64)
+
+
 def _fault_lists(
-    chunks: Iterator[np.ndarray], sites: int, limit: int
+    chunks: Iterator[np.ndarray], sites: int, limit: int, lone: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
     """Packs chunks of sorted fault positions into (trial, site, rows) fault lists.
 
-    The chunks go into one buffer of ``limit + sites`` faults, each chunk's
-    touched trials renumbered after those already there (a chunk never splits
-    a trial). The buffer is yielded before a chunk that would take it past
-    ``limit`` faults, and at the end. A chunk of :func:`_fault_positions`
-    holds at most its draw's :func:`_chunk_faults` plus one held-back trial,
-    so with ``limit`` no smaller than that the buffer takes any chunk, and one
-    that is longer than ``limit`` is yielded alone. The next step overwrites
-    a yielded list, so decide it before asking for the next.
+    A fault whose trial differs from both its neighbours' (a chunk never
+    splits a trial) is its trial's only one: it is counted in ``lone[site]``
+    and not packed. The other faults go into one buffer of ``limit + sites``
+    faults, each chunk's touched trials renumbered after those already there.
+    The buffer is yielded before a chunk that would take it past ``limit``
+    faults, and at the end. A chunk of :func:`_fault_positions` holds at most
+    its draw's :func:`_chunk_faults` plus one held-back trial, so with
+    ``limit`` no smaller than that the buffer takes any chunk, and one that
+    is longer than ``limit`` is yielded alone. The next step overwrites a
+    yielded list, so decide it before asking for the next.
     """
     buffer = np.empty((2, limit + sites), dtype=np.int64)
     filled = rows = 0
     for positions in chunks:
+        trial = positions // sites
+        edge = np.ones(len(trial) + 1, dtype=bool)  # edge[i]: faults i - 1 and i differ in trial
+        np.not_equal(trial[1:], trial[:-1], out=edge[1:-1])
+        alone = edge[:-1] & edge[1:]  # the only fault of its trial
+        lone += np.bincount(positions[alone] % sites, minlength=sites)
+        positions, trial = positions[~alone], trial[~alone]
         n = len(positions)
+        if not n:
+            continue
         if filled + n > limit and filled:
             yield buffer[0, :filled], buffer[1, :filled], rows
             filled = rows = 0
-        trial, site = buffer[:, filled : filled + n]
-        np.floor_divide(positions, sites, out=trial)
+        renumbered, site = buffer[:, filled : filled + n]
         np.subtract(positions, np.multiply(trial, sites, out=site), out=site)
         # renumber the touched trials rows, rows + 1, ... in order: the positions are sorted
-        changed = trial[1:] != trial[:-1]
-        trial[0] = rows
-        np.cumsum(changed, out=trial[1:])
-        trial[1:] += rows
+        renumbered[0] = rows
+        np.cumsum(trial[1:] != trial[:-1], out=renumbered[1:])
+        renumbered[1:] += rows
         filled += n
-        rows = int(trial[-1]) + 1
+        rows = int(renumbered[-1]) + 1
     if filled:
         yield buffer[0, :filled], buffer[1, :filled], rows
 
 
 def _simulate_share(
-    kernel: _Kernel, eps: float, seed: int, blocks: list[tuple[int, int]], corruption: str
+    kernel: _Kernel,
+    table: np.ndarray,
+    eps: float,
+    seed: int,
+    blocks: list[tuple[int, int]],
+    corruption: str,
 ) -> tuple[int, int, int]:
     """(accepted, erroneous_accepted, data_flips_accepted) over one worker's blocks.
 
     ``blocks`` lists (index, size) pairs. Block i draws from its own Philox
-    stream keyed by (seed, i), so the counts do not depend on the worker. One
-    :func:`_tally` decides each fault list that :func:`_fault_lists` packs
-    into a buffer sized by :func:`_chunk_faults` for the whole share; a
-    fault-free trial is accepted and not erroneous in both modes and under
-    both conventions.
+    stream keyed by (seed, i), so the counts do not depend on the worker. A
+    trial with one fault takes its counts from ``table`` (:func:`_site_table`),
+    by its site; one :func:`_tally` decides each fault list of the trials with
+    two or more faults that :func:`_fault_lists` packs into a buffer sized by
+    :func:`_chunk_faults` for the whole share. A fault-free trial is accepted
+    and not erroneous in both modes and under both conventions.
     """
-    sites = hadamard_step_counts(kernel.params, kernel.num_data, kernel.num_checks)
+    sites = table.shape[1]
     mask = (1 << 64) - 1
 
     def chunks() -> Iterator[np.ndarray]:
@@ -359,12 +405,14 @@ def _simulate_share(
 
     accepted, erroneous, flips = sum(size for _, size in blocks), 0, 0
     limit = _chunk_faults(eps * sites * accepted)  # no smaller than any block's chunk size
-    for trial, site, rows in _fault_lists(chunks(), sites, limit):
+    lone = np.zeros(sites, dtype=np.int64)
+    for trial, site, rows in _fault_lists(chunks(), sites, limit, lone):
         acc, err, flip = _tally(kernel, trial, site, rows, corruption)
         accepted += acc - rows
         erroneous += err
         flips += flip
-    return accepted, erroneous, flips
+    acc, err, flip = (table @ lone).tolist()
+    return accepted + acc - int(lone.sum()), erroneous + err, flips + flip
 
 
 def monte_carlo(
@@ -382,17 +430,22 @@ def monte_carlo(
 
     Only the faulty sites are drawn (geometric gaps between faults), so the
     cost scales with trials x fault sites x eps, and only the trials holding a
-    fault are decided. The RNG is counter-based and keyed by (seed, block
-    index) with a fixed block size. ``workers`` sets the number of shares W:
-    share w takes blocks w, w + W, ... in one job and decides their faults in
-    batches of up to MAX_CHUNK_FAULTS (:func:`_simulate_share`); the counts
-    are sums over trials, so results are bit-identical for any worker count.
+    fault are decided: a trial with one fault by a per-site table built once
+    per call (:func:`_site_table`), the others by verdicts on packed fault
+    lists. The RNG is counter-based and keyed by (seed, block index) with a
+    fixed block size. ``workers`` bounds the number of shares W: share w takes
+    blocks w, w + W, ... in one job and decides their faults in batches of up
+    to MAX_CHUNK_FAULTS (:func:`_simulate_share`); the counts are sums over
+    trials, so results are bit-identical for any worker count.
     ``workers=None`` means one share per core; W never exceeds the block
-    count or _POOL_THREADS. A single share runs on the calling thread; two or
-    more run on the process's shared pool (:func:`_shared_pool`), each on its
-    own thread: the pool starts threads only when it has fewer idle than the
-    call has shares, and keeps them for later calls. A forked child builds a
-    new pool: the threads of the one it inherited did not survive the fork.
+    count, _POOL_THREADS or the number of MAX_CHUNK_FAULTS the call expects
+    (eps x sites x trials, rounded up), so a share gets a thread only when it
+    holds a full fault list. A single share runs on the calling thread and
+    builds no pool; two or more run on the process's shared pool
+    (:func:`_shared_pool`), each on its own thread: the pool starts threads
+    only when it has fewer idle than the call has shares, and keeps them for
+    later calls. A forked child builds a new pool: the threads of the one it
+    inherited did not survive the fork.
     """
     if not 0 <= eps < 0.5:
         raise ValueError("eps must be in [0, 0.5)")
@@ -406,14 +459,17 @@ def monte_carlo(
         raise ValueError(f"unknown corruption convention {corruption!r}")
 
     kernel = _Kernel.build(instance, mode)
+    sites = instance.fault_sites
+    table = _site_table(kernel, sites, corruption)
     n_blocks = (trials + block_size - 1) // block_size
     blocks = [(i, min(block_size, trials - i * block_size)) for i in range(n_blocks)]
     if workers is None:
         workers = os.cpu_count() or 1
-    workers = min(workers, n_blocks, _POOL_THREADS)
+    full_lists = math.ceil(eps * sites * trials / MAX_CHUNK_FAULTS)
+    workers = max(1, min(workers, n_blocks, _POOL_THREADS, full_lists))
 
     def share(first: int) -> tuple[int, int, int]:
-        return _simulate_share(kernel, eps, seed, blocks[first::workers], corruption)
+        return _simulate_share(kernel, table, eps, seed, blocks[first::workers], corruption)
 
     if workers == 1:
         results = [share(0)]

@@ -149,8 +149,8 @@ def search_best(
     *,
     eps0: float = DEFAULT_INPUT_ERROR,
     success_eps: str = "required",
-) -> ProtocolSpec:
-    """Smallest output-error spec whose effective rate stays above the floor.
+) -> tuple[ProtocolSpec, PipelineReport]:
+    """Smallest output-error spec whose effective rate stays above the floor, with its report.
 
     Candidates are all (inner code, p) pairs with one check-schedule round at
     the default scale A = k^d after p rounds of 15->1. A candidate whose
@@ -160,7 +160,8 @@ def search_best(
     plain ValueError; no candidate code, or none left, is an InfeasibleError.
 
     Every candidate shares eps0, so the 15->1 chain is walked once, up to the
-    largest p, and each candidate's report equals ``evaluate``'s.
+    largest p, and each candidate's report equals ``evaluate``'s; the chosen
+    one is returned beside its spec.
     """
     rate_floor = LogScalar.coerce(rate_floor)
     pre_rounds = sorted(set(pre_rounds))
@@ -171,7 +172,7 @@ def search_best(
 
     chain: list[StageReport | InfeasibleError] = []
     best_key: tuple[float, int, int] | None = None
-    best_spec: ProtocolSpec | None = None
+    best: tuple[ProtocolSpec, PipelineReport] | None = None
     crossed: InfeasibleError | None = None
     for params in inner_candidates:
         for p in pre_rounds:
@@ -192,8 +193,8 @@ def search_best(
             key = (report.eps_out.log10, params.n_q, p)
             if best_key is None or key < best_key:
                 best_key = key
-                best_spec = spec
-    if best_spec is None:
+                best = (spec, report)
+    if best is None:
         skipped = "" if crossed is None else f"; skipped above threshold ({crossed})"
         raise InfeasibleError(f"no candidate satisfies the rate floor{skipped}")
-    return best_spec
+    return best

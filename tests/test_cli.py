@@ -271,6 +271,16 @@ class TestSearch:
         assert code == EXIT_OK
         assert doc["results"]["inner"] == [8104, 8002, 9]
 
+    def test_makes_no_evaluate_call(self, capsys, monkeypatch):
+        # search_best returns the chosen spec's report: nothing is evaluated again
+        argv = ["search", "--rate-floor-log10", "-7.0324"]
+        code, expected = run_json(capsys, argv)
+        calls = []
+        monkeypatch.setattr(msdistill.cli, "evaluate", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(msdistill.pipeline, "evaluate", lambda *a, **k: calls.append(a))
+        assert run_json(capsys, argv) == (code, expected) and code == EXIT_OK
+        assert calls == []
+
     def test_impossible_floor(self, capsys):
         assert main(["search", "--rate-floor-log10", "1.0"]) == EXIT_INFEASIBLE
 

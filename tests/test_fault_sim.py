@@ -30,6 +30,7 @@ from msdistill.fault_sim import (
     _Kernel,
     _nonzero_rows,
     _simulate_share,
+    _tally,
     _verdicts,
     _wilson_interval,
     make_single_check_instance,
@@ -41,6 +42,8 @@ from msdistill.inner_codes import RM15, STEANE, CssCodeParams, WeaklySelfDualCod
 from msdistill.outer_codes import OuterCode, build_biregular
 
 IDENTITY_OUTER = OuterCode(BinMatrix.identity(4), 1, 1)
+# data state 1 is in no check: a weight-1 witness against strict sensitivity
+UNCHECKED_OUTER = OuterCode(BinMatrix(1, 2, (0b01,)), 1, 1)
 # Steane's rows on qubits 63..69 of 70: rank 3, so k = 64 and d = 1
 WIDE = WeaklySelfDualCode(
     CssCodeParams(70, 64, 1), BinMatrix(3, 70, tuple(row << 63 for row in STEANE.check.row_bits))
@@ -284,6 +287,69 @@ def test_verdicts_match_the_per_check_oracle(case, mode):
     assert as_pairs == oracle_verdicts(inst, mode, faults)
 
 
+@st.composite
+def trial_site_lists(draw):
+    """An instance and, per trial, its sorted faulty sites: many trials hold one fault."""
+    inst = draw(st.sampled_from([
+        steane_identity_instance(),
+        make_single_check_instance(RM15),
+        ProtocolInstance(STEANE, UNCHECKED_OUTER, strict=False),
+        ProtocolInstance(RM15, UNCHECKED_OUTER, strict=False),
+    ]))
+    sites = st.integers(0, inst.fault_sites - 1)
+    one = sites.map(lambda s: [s])
+    several = st.sets(sites, max_size=4).map(sorted)
+    return inst, draw(st.lists(one | several, min_size=1, max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=trial_site_lists(), mode=st.sampled_from(["idealized", "exact"]),
+       corruption=st.sampled_from(["erroneous", "reject"]))
+def test_site_table_matches_the_full_verdict(case, mode, corruption):
+    inst, per_trial = case
+    kernel, sites = _Kernel.build(inst, mode), inst.fault_sites
+    table = fault_sim._site_table(kernel, sites, corruption)
+    trial = np.array([t for t, s in enumerate(per_trial) for _ in s], dtype=np.int64)
+    site = np.array([x for s in per_trial for x in s], dtype=np.int64)
+    rows = len(per_trial)
+    accept, erroneous, data = fault_sim._outcomes(kernel, trial, site, rows, corruption)
+    # per trial: a one-fault trial's table column is what the full verdict gives it
+    for t, faults in enumerate(per_trial):
+        if len(faults) == 1:
+            expected = [int(accept[t]), int(erroneous[t]), int(data[t] * accept[t])]
+            assert table[:, faults[0]].tolist() == expected
+    # per share: fault-free trials, plus the table's lone trials, plus the packed lists' tallies
+    lone = np.zeros(sites, dtype=np.int64)
+    chunks = [trial * sites + site] if len(trial) else []
+    counts = sum(np.array(_tally(kernel, t, s, r, corruption))
+                 for t, s, r in _fault_lists(iter(chunks), sites, len(trial), lone))
+    counts = counts + table @ lone
+    counts[0] += sum(not faults for faults in per_trial)
+    assert counts.tolist() == list(_tally(kernel, trial, site, rows, corruption))
+
+
+@pytest.mark.parametrize("mode", ["idealized", "exact"])
+@pytest.mark.parametrize("corruption", ["erroneous", "reject"])
+@pytest.mark.parametrize("inst", [
+    steane_identity_instance(),
+    make_single_check_instance(RM15),
+    ProtocolInstance(STEANE, UNCHECKED_OUTER, strict=False),
+], ids=["steane-identity", "rm15-single-check", "steane-unchecked"])
+def test_share_equals_one_full_tally_per_block(inst, mode, corruption):
+    # the reference decides every fault of a block, lone or not, in one full verdict
+    kernel, sites, seed, eps = _Kernel.build(inst, mode), inst.fault_sites, 6, 0.04
+    blocks = [(0, 900), (3, 1), (5, 2500)]
+    expected = np.zeros(3, dtype=np.int64)
+    for index, size in blocks:
+        rng = np.random.Generator(np.random.Philox(key=(seed << 64) | index))
+        chunks = [np.empty(0, np.int64), *_fault_positions(rng, eps, size, sites)]
+        positions = np.concatenate(chunks)
+        expected += _tally(kernel, positions // sites, positions % sites, size, corruption)
+    table = fault_sim._site_table(kernel, sites, corruption)
+    share = _simulate_share(kernel, table, eps, seed, blocks, corruption)
+    assert list(share) == expected.tolist()
+
+
 @pytest.mark.parametrize("shape", [(5, 3), (5, 1), (0, 3), (5, 0)])
 def test_nonzero_rows_matches_any(shape):
     words = np.zeros(shape, dtype=np.uint64)
@@ -325,6 +391,14 @@ class TestProtocolInstance:
     def test_strict_requires_matching_degree(self):
         with pytest.raises(ValueError):
             ProtocolInstance(STEANE, OuterCode(BinMatrix.from_rows([[1, 1]]), 2, 1))
+
+    def test_strict_refuses_an_insensitive_outer(self):
+        # data state 1 is in no check: weight 1 violates none of the one required check
+        with pytest.raises(ValueError, match="outer schedule fails sensitivity") as exc_info:
+            ProtocolInstance(STEANE, UNCHECKED_OUTER)
+        witness = outer_codes.SensitivityWitness(pattern_bits=0b10, weight=1, violated_checks=0)
+        assert str(exc_info.value) == f"outer schedule fails sensitivity: {witness}"
+        assert ProtocolInstance(STEANE, UNCHECKED_OUTER, strict=False).num_data == 2
 
     def test_strict_accepts_sensitive_outer(self):
         outer = build_biregular(6, 1, 1, 4, seed=0)
@@ -415,8 +489,10 @@ class TestFaultPositions:
                   for c in _fault_positions(philox(key), 0.3, size, sites)]
         assert max(map(len, chunks)) > MAX_CHUNK_FAULTS  # a held-back trial pushed one past
         # copies: each yielded list is overwritten by the next
+        lone = np.zeros(sites, dtype=np.int64)
         lists = [(t.copy(), s.copy(), rows)
-                 for t, s, rows in _fault_lists(iter(chunks), sites, MAX_CHUNK_FAULTS)]
+                 for t, s, rows in _fault_lists(iter(chunks), sites, MAX_CHUNK_FAULTS, lone)]
+        assert not lone.any()  # at eps = 0.3 no trial of 60 sites holds one fault alone
         oversized = {len(c) for c in chunks if len(c) > MAX_CHUNK_FAULTS}
         assert all(len(t) <= MAX_CHUNK_FAULTS or len(t) in oversized for t, _, _ in lists)
         assert len(lists) < len(chunks)
@@ -434,12 +510,18 @@ class TestFaultPositions:
         sites, eps, size = 60, 0.05, 50
         limit = fault_sim._chunk_faults(eps * sites * size * 4)
         chunks = [c for key in range(40) for c in _fault_positions(philox(key), eps, size, sites)]
+        lone = np.zeros(sites, dtype=np.int64)
         lists = [(t.copy(), s.copy(), rows)
-                 for t, s, rows in _fault_lists(iter(chunks), sites, limit)]
+                 for t, s, rows in _fault_lists(iter(chunks), sites, limit, lone)]
         assert all(len(t) <= limit for t, _, _ in lists)
         assert 1 < len(lists) < len(chunks)
+        # the trials with one fault are counted by site, the others packed in order
+        positions = np.concatenate(chunks)
+        weight = np.concatenate([np.bincount(c // sites)[c // sites] for c in chunks])
+        assert lone.any()
+        assert np.array_equal(lone, np.bincount(positions[weight == 1] % sites, minlength=sites))
         site = np.concatenate([s for _, s, _ in lists])
-        assert np.array_equal(site, np.concatenate(chunks) % sites)
+        assert np.array_equal(site, positions[weight > 1] % sites)
 
 
 @given(case=st.integers(1, 10**6).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))))
@@ -632,15 +714,70 @@ class TestMonteCarlo:
             monte_carlo(inst, 0.1, 100, seed=0, block_size=0)
 
 
+class TestShareCap:
+    """A call takes at most one share per MAX_CHUNK_FAULTS expected faults."""
+
+    def test_small_call_starts_no_thread_and_builds_no_pool(self, monkeypatch):
+        inst = steane_identity_instance()
+        eps, trials = 1e-2, 1 << 16
+        assert eps * inst.fault_sites * trials < MAX_CHUNK_FAULTS
+        started = []
+        real_start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(fault_sim, "_pool", None)
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        report = monte_carlo(inst, eps, trials, 3, workers=4, block_size=1 << 12)
+        monkeypatch.setattr(threading.Thread, "start", real_start)
+        assert started == []
+        assert fault_sim._pool is None
+        assert report == monte_carlo(inst, eps, trials, 3, workers=1, block_size=1 << 12)
+
+    @pytest.mark.parametrize("eps, shares", [(1e-3, 1), (5e-3, 2), (2e-2, 4)])
+    def test_shares_follow_the_expected_faults(self, monkeypatch, eps, shares):
+        # 60 sites x 2^18 trials: 15.7k, 78.6k and 315k expected faults; workers caps the last
+        inst = steane_identity_instance()
+        calls = []
+        real = fault_sim._simulate_share
+        monkeypatch.setattr(fault_sim, "_simulate_share", lambda *a: calls.append(a) or real(*a))
+        monte_carlo(inst, eps, 1 << 18, 3, workers=4, block_size=1 << 14)
+        assert len(calls) == shares == min(4, math.ceil(eps * 60 * (1 << 18) / MAX_CHUNK_FAULTS))
+
+
 class TestSharedPool:
     """Threaded calls share one pool per process; a forked child builds its own."""
 
-    ARGS = (1e-2, 1 << 15, 3)
-    KWARGS = dict(workers=2, block_size=1 << 13)
+    # 2e-2 x 60 sites x 2^18 trials: 315k expected faults, room for 4 shares
+    ARGS = (2e-2, 1 << 18, 3)
+    KWARGS = dict(workers=2, block_size=1 << 14)
+
+    @staticmethod
+    def pool_ran_the_shares(monkeypatch, *args, **kwargs):
+        """Runs one monte_carlo call; asserts that pool threads ran all its shares."""
+        eps, trials, _ = args[1:4]
+        assert eps * args[0].fault_sites * trials >= 3 * MAX_CHUNK_FAULTS
+        names = []
+        real = fault_sim._simulate_share
+
+        def recorded(*share_args):
+            names.append(threading.current_thread().name)
+            return real(*share_args)
+
+        monkeypatch.setattr(fault_sim, "_simulate_share", recorded)
+        try:
+            report = monte_carlo(*args, **kwargs)
+        finally:
+            monkeypatch.setattr(fault_sim, "_simulate_share", real)
+        assert len(names) == kwargs["workers"]
+        assert all(name.startswith("monte_carlo") for name in names)
+        return report
 
     def test_later_calls_start_no_thread(self, monkeypatch):
         inst = steane_identity_instance()
-        first = monte_carlo(inst, *self.ARGS, **self.KWARGS)
+        first = self.pool_ran_the_shares(monkeypatch, inst, *self.ARGS, **self.KWARGS)
         started = []
         real_start = threading.Thread.start
 
@@ -654,23 +791,25 @@ class TestSharedPool:
         assert started == []
         assert reports == [first] * 5
 
-    def test_concurrent_callers_get_the_serial_report(self):
+    def test_concurrent_callers_get_the_serial_report(self, monkeypatch):
         inst = steane_identity_instance()
-        expected = monte_carlo(inst, *self.ARGS, workers=1, block_size=1 << 13)
+        self.pool_ran_the_shares(monkeypatch, inst, *self.ARGS, workers=3, block_size=1 << 14)
+        expected = monte_carlo(inst, *self.ARGS, workers=1, block_size=1 << 14)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with ThreadPoolExecutor(4) as callers:
                 futures = [callers.submit(monte_carlo, inst, *self.ARGS, workers=3,
-                                          block_size=1 << 13) for _ in range(8)]
+                                          block_size=1 << 14) for _ in range(8)]
                 reports = [future.result(timeout=30) for future in futures]
         finally:
             sys.setswitchinterval(interval)
         assert reports == [expected] * 8
 
-    def test_forked_child_gets_the_parents_report(self):
+    def test_forked_child_gets_the_parents_report(self, monkeypatch):
         inst = steane_identity_instance()
-        expected = monte_carlo(inst, *self.ARGS, **self.KWARGS)  # the parent's pool exists now
+        # the parent's pool exists now
+        expected = self.pool_ran_the_shares(monkeypatch, inst, *self.ARGS, **self.KWARGS)
         ctx = multiprocessing.get_context("fork")
         reader, writer = ctx.Pipe(duplex=False)
         with reader, writer:
@@ -718,10 +857,12 @@ class TestPegSchedule:
 
     @staticmethod
     def share_peak(eps, blocks):
-        kernel = _Kernel.build(TestPegSchedule.instance(), "exact")
+        instance = TestPegSchedule.instance()
+        kernel = _Kernel.build(instance, "exact")
+        table = fault_sim._site_table(kernel, instance.fault_sites, "erroneous")
         tracemalloc.start()
         try:
-            _simulate_share(kernel, eps, 7, blocks, "erroneous")
+            _simulate_share(kernel, table, eps, 7, blocks, "erroneous")
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -105,10 +105,11 @@ class TestSearch:
 
     def test_reproduces_headline_code(self):
         candidates = distance_family(10**4)
-        spec = search_best(self.FLOOR, candidates, range(7))
+        spec, report = search_best(self.FLOOR, candidates, range(7))
         inner = spec.inner
         assert (inner.n_q, inner.k_q, inner.d_q) == (8104, 8002, 9)
-        assert evaluate(spec).effective_rate > self.FLOOR
+        assert report == evaluate(spec)
+        assert report.effective_rate > self.FLOOR
 
     def test_order_invariance(self):
         candidates = distance_family(10**4)
@@ -138,14 +139,17 @@ FAMILY = distance_family(10**4)
 
 
 def search_by_evaluate(rate_floor, inner_candidates, pre_rounds, *, eps0, success_eps):
-    """The reference: search_best as one ``evaluate`` call per candidate, each from round 0."""
+    """The reference: search_best as one ``evaluate`` call per candidate, each from round 0.
+
+    Returns the chosen spec with its report, as search_best does.
+    """
     rate_floor = LogScalar.coerce(rate_floor)
     pre_rounds = sorted(set(pre_rounds))
     if not pre_rounds:
         raise ValueError("pre_rounds needs at least one round count")
     if not inner_candidates:
         raise InfeasibleError("empty search space")
-    best_key = best_spec = crossed = None
+    best_key = best = crossed = None
     for params in inner_candidates:
         for p in pre_rounds:
             spec = ProtocolSpec(p, params, default_scale_rule(params), eps0)
@@ -158,15 +162,15 @@ def search_by_evaluate(rate_floor, inner_candidates, pre_rounds, *, eps0, succes
                 continue
             key = (report.eps_out.log10, params.n_q, p)
             if best_key is None or key < best_key:
-                best_key, best_spec = key, spec
-    if best_spec is None:
+                best_key, best = key, (spec, report)
+    if best is None:
         skipped = "" if crossed is None else f"; skipped above threshold ({crossed})"
         raise InfeasibleError(f"no candidate satisfies the rate floor{skipped}")
-    return best_spec
+    return best
 
 
 def outcome(search, *args, **kwargs):
-    """The returned spec, or the raised exception's type and message."""
+    """The returned spec and report, or the raised exception's type and message."""
     try:
         return search(*args, **kwargs)
     except ValueError as exc:
