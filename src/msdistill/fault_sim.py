@@ -431,8 +431,8 @@ def monte_carlo(
     Only the faulty sites are drawn (geometric gaps between faults), so the
     cost scales with trials x fault sites x eps, and only the trials holding a
     fault are decided: a trial with one fault by a per-site table built once
-    per call (:func:`_site_table`), the others by verdicts on packed fault
-    lists. The RNG is counter-based and keyed by (seed, block index) with a
+    per call at eps > 0 (:func:`_site_table`), the others by verdicts on
+    packed fault lists. The RNG is counter-based and keyed by (seed, block index) with a
     fixed block size. ``workers`` bounds the number of shares W: share w takes
     blocks w, w + W, ... in one job and decides their faults in batches of up
     to MAX_CHUNK_FAULTS (:func:`_simulate_share`); the counts are sums over
@@ -460,7 +460,8 @@ def monte_carlo(
 
     kernel = _Kernel.build(instance, mode)
     sites = instance.fault_sites
-    table = _site_table(kernel, sites, corruption)
+    # at eps 0 no trial holds a fault, so no table entry is read
+    table = _site_table(kernel, sites, corruption) if eps else np.zeros((3, sites), np.int64)
     n_blocks = (trials + block_size - 1) // block_size
     blocks = [(i, min(block_size, trials - i * block_size)) for i in range(n_blocks)]
     if workers is None:

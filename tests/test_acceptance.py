@@ -11,6 +11,7 @@ import time
 import pytest
 
 from conftest import oracle_min_weight
+from msdistill import fault_sim
 from msdistill.analytics import overhead_exponent, predistill_chain, t_exponent
 from msdistill.cli import EXIT_OK, main
 from msdistill.comparison import qag_baseline_rate, qag_threshold
@@ -163,15 +164,19 @@ def test_acceptance_08_rate_exponent_trend():
     )
 
 
-def test_acceptance_09_cli_reproducibility(tmp_path):
+def test_acceptance_09_cli_reproducibility(tmp_path, monkeypatch):
     runs = [
         ["gv-search", "--n-min", "140", "--n-max", "160"],
         ["analyze", "--inner", "149,117,5", "--pre-rounds", "3"],
         ["compare", "--pre-rounds-max", "3"],
-        ["simulate", "--eps", "0.005", "--trials", "150000", "--seed", "77",
+        # 0.03 x 60 sites x 150000 trials: 270k expected faults, room for 4 shares
+        ["simulate", "--eps", "0.03", "--trials", "150000", "--seed", "77",
          "--workers", "4", "--block-size", "16384"],
         ["table-s1"],
     ]
+    shares = []
+    real = fault_sim._simulate_share
+    monkeypatch.setattr(fault_sim, "_simulate_share", lambda *a: shares.append(a) or real(*a))
     for i, argv in enumerate(runs):
         first = tmp_path / f"first_{i}.json"
         second = tmp_path / f"second_{i}.json"
@@ -180,4 +185,5 @@ def test_acceptance_09_cli_reproducibility(tmp_path):
         assert main(replay) == EXIT_OK
         assert first.read_bytes() == second.read_bytes(), argv[0]
         assert json.loads(first.read_text())["config"]  # config embedded
+    assert len(shares) == 2 * 4  # the simulate run and its replay, 4 shares each
     print(f"PASS 9: {len(runs)} CLI runs replay byte-identically from embedded configs")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 import msdistill
-from msdistill import __version__
+from msdistill import __version__, fault_sim
 from msdistill.cli import (
     COMMANDS, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, _json_text, _resolve, build_parser, main,
 )
@@ -488,15 +488,20 @@ class TestSimulate:
             "(raise trials or the eps values)\n"
         )
 
-    def test_replay_is_byte_identical(self, tmp_path):
+    def test_replay_is_byte_identical(self, tmp_path, monkeypatch):
         first = tmp_path / "run1.json"
         second = tmp_path / "run2.json"
-        argv = ["simulate", "--eps", "0.005", "--trials", "60000", "--seed", "11",
-                "--workers", "3"]
+        # 0.05 x 60 sites x 60000 trials: 180k expected faults, room for 3 shares of 4 blocks
+        argv = ["simulate", "--eps", "0.05", "--trials", "60000", "--seed", "11",
+                "--workers", "3", "--block-size", "16384"]
+        shares = []
+        real = fault_sim._simulate_share
+        monkeypatch.setattr(fault_sim, "_simulate_share", lambda *a: shares.append(a) or real(*a))
         assert main(argv + ["--output", str(first)]) == EXIT_OK
         assert main(
             ["simulate", "--config", str(first), "--output", str(second)]
         ) == EXIT_OK
+        assert len(shares) == 2 * 3
         assert first.read_bytes() == second.read_bytes()
 
     def test_flags_override_config(self, capsys, tmp_path):

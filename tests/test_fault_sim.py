@@ -54,6 +54,25 @@ def steane_identity_instance() -> ProtocolInstance:
     return ProtocolInstance(STEANE, IDENTITY_OUTER, strict=False)
 
 
+def on_shares(instance, eps, trials, seed, **kwargs) -> tuple[SimReport, int]:
+    """A monte_carlo call with the share cap lifted, and the number of shares it ran.
+
+    The cap allows one share per MAX_CHUNK_FAULTS expected faults, so a call small
+    enough for a test runs on one share whatever ``workers`` says. MAX_CHUNK_FAULTS
+    is lowered to the expected faults over ``workers`` (at least 1), which lets the
+    cap admit ``workers`` shares once the call expects that many faults. The draw is
+    the same for any chunk size, so the report must equal the serial one.
+    """
+    expected = eps * instance.fault_sites * trials
+    shares = []
+    real = fault_sim._simulate_share
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fault_sim, "MAX_CHUNK_FAULTS", max(1, int(expected // kwargs["workers"])))
+        patch.setattr(fault_sim, "_simulate_share", lambda *a: shares.append(a) or real(*a))
+        report = monte_carlo(instance, eps, trials, seed, **kwargs)
+    return report, len(shares)
+
+
 Verdict = namedtuple("Verdict", "rejected outcome corrupted")
 
 
@@ -562,8 +581,9 @@ class TestMonteCarlo:
         # 50_000 = 6 * 8192 + 848: the last block is ragged
         serial = monte_carlo(inst, 8e-3, 50_000, seed=21, mode="exact", workers=1,
                              block_size=1 << 13)
-        threaded = monte_carlo(inst, 8e-3, 50_000, seed=21, mode="exact", workers=4,
-                               block_size=1 << 13)
+        threaded, shares = on_shares(inst, 8e-3, 50_000, 21, mode="exact", workers=4,
+                                     block_size=1 << 13)
+        assert shares == 4
         assert serial == threaded
         assert serial.erroneous_accepted > 0
 
@@ -582,7 +602,9 @@ class TestMonteCarlo:
         inst = steane_identity_instance()
         kwargs = dict(mode=mode, corruption=corruption, block_size=block_size)
         serial = monte_carlo(inst, eps, trials, seed, workers=1, **kwargs)
-        threaded = monte_carlo(inst, eps, trials, seed, workers=3, **kwargs)
+        threaded, shares = on_shares(inst, eps, trials, seed, workers=3, **kwargs)
+        if eps * inst.fault_sites * trials >= 3:
+            assert shares == min(3, -(-trials // block_size))
         assert 0 <= serial.erroneous_accepted <= serial.accepted <= serial.trials == trials
         assert serial == threaded
 
@@ -606,8 +628,12 @@ class TestMonteCarlo:
     ):
         # counts recorded when each block was decided on its own, chunk by chunk:
         # batching the chunks of several blocks into one fault list must not move them
-        report = monte_carlo(steane_identity_instance(), eps, trials, 11, mode=mode,
-                             workers=workers, block_size=block_size)
+        inst, kwargs = steane_identity_instance(), dict(mode=mode, block_size=block_size)
+        if workers == 1:
+            report = monte_carlo(inst, eps, trials, 11, workers=1, **kwargs)
+        else:
+            report, shares = on_shares(inst, eps, trials, 11, workers=workers, **kwargs)
+            assert shares == min(workers, -(-trials // block_size))
         assert report == SimReport(trials, *counts, eps, 11, mode, "erroneous")
 
     def test_one_tally_per_full_fault_list(self, monkeypatch):
@@ -626,7 +652,7 @@ class TestMonteCarlo:
         monkeypatch.undo()
         assert len(calls) <= math.ceil(sum(faults) / MAX_CHUNK_FAULTS) + 1
         assert sum(calls) <= report.trials
-        assert report == monte_carlo(inst, 0.3, 3000, 5, block_size=1, workers=2)
+        assert on_shares(inst, 0.3, 3000, 5, block_size=1, workers=2) == (report, 2)
 
     def test_fault_list_buffer_fits_the_share(self, monkeypatch):
         # a share expecting few faults gets a buffer sized to them, not to MAX_CHUNK_FAULTS
@@ -646,7 +672,7 @@ class TestMonteCarlo:
         limit = fault_sim._chunk_faults(eps * sites * trials)
         assert limit < MAX_CHUNK_FAULTS
         assert buffers == [(2, limit + sites)]
-        assert report == monte_carlo(inst, eps, trials, 5, block_size=1 << 10, workers=2)
+        assert on_shares(inst, eps, trials, 5, block_size=1 << 10, workers=2) == (report, 2)
 
     def test_matches_truncated_enumeration(self):
         inst = steane_identity_instance()
@@ -840,8 +866,13 @@ class TestPegSchedule:
         # became a per-check XOR): a given seed's draw, and so its counts, must not
         # change with the verdict, the convention or the worker count
         for corruption in ("erroneous", "reject"):
-            report = monte_carlo(self.instance(), eps, 1 << 15, 1, mode="exact",
-                                 corruption=corruption, workers=workers, block_size=1 << 14)
+            kwargs = dict(mode="exact", corruption=corruption, workers=workers,
+                          block_size=1 << 14)
+            if workers == 1:
+                report = monte_carlo(self.instance(), eps, 1 << 15, 1, **kwargs)
+            else:
+                report, shares = on_shares(self.instance(), eps, 1 << 15, 1, **kwargs)
+                assert shares == 2
             assert report == SimReport(1 << 15, accepted, 0, 0, eps, 1, "exact", corruption)
 
     def test_block_verdicts_match_the_oracle(self):
